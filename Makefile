@@ -1,6 +1,6 @@
 # Tier-1 verification plus a smoke run of the observability path itself.
 
-.PHONY: all build test smoke engines cost-models parallel bench-smoke report serve racecheck sweep shard l2-validate bench-diff check bench bench-json clean
+.PHONY: all build test smoke engines cost-models parallel bench-smoke report serve racecheck sweep bench-diff check bench bench-json clean
 
 all: build
 
@@ -27,11 +27,24 @@ engines: build
 	@echo "engines: differential suite OK under both defaults"
 
 # one cheap end-to-end bench invocation per engine (no JSON, tiny subset is
-# not supported, so reuse the profile path which runs a real simulation)
+# not supported, so reuse the profile path which runs a real simulation),
+# then every malformed flag value must fail as a named usage error (exit 2),
+# never as an uncaught exception
 bench-smoke: build
 	dune exec bin/ppat.exe -- run sum_rows --engine compiled > /dev/null
 	dune exec bin/ppat.exe -- run sum_rows --engine reference > /dev/null
-	@echo "bench-smoke: both engines validate sum_rows"
+	@for args in "bin/ppat.exe -- run sum_rows -s bogus" \
+	    "bin/ppat.exe -- run sum_rows --engine bogus" \
+	    "bin/ppat.exe -- run sum_rows --cost-model bogus" \
+	    "bin/ppat.exe -- run sum_rows --sim-jobs x" \
+	    "bench/main.exe -- --sim-jobs x"; do \
+	  dune exec $$args > /dev/null 2> /tmp/ppat_usage_err.txt; code=$$?; \
+	  if [ $$code -ne 2 ] || grep -q "Fatal error" /tmp/ppat_usage_err.txt; then \
+	    echo "bench-smoke: '$$args' exited $$code, want a usage error (2):"; \
+	    cat /tmp/ppat_usage_err.txt; exit 1; \
+	  fi; \
+	done
+	@echo "bench-smoke: both engines validate sum_rows; bad flag values exit 2"
 
 # tier-1 under both cost-model defaults (mapping-specific assertions pin
 # Soft explicitly, everything else must hold under any model), plus a
@@ -104,34 +117,6 @@ sweep: build
 	dune exec bin/ppat.exe -- sweep msm_cluster --budget 16 --jobs 4 > /dev/null
 	@echo "sweep: stage-once metrics hold and calibration never worsens regret on any bench app"
 
-# process-sharding gate: the shard unit suite, then merged trajectories at
-# 2 and 4 worker processes diffed against an unsharded run of the same
-# build — stats and digests must be identical (--compare skips only the
-# wall gate when worker counts differ), for the classic suite and for the
-# serve trace; plus a sharded `ppat sweep` smoke run (it asserts coverage
-# and rank identity internally)
-shard: build
-	dune exec test/main.exe -- test shard > /dev/null
-	dune exec bench/main.exe -- --json /tmp/ppat_shard_serial.json
-	dune exec bench/main.exe -- --sharded 2 --json /tmp/ppat_shard_2.json
-	dune exec bench/main.exe -- --sharded 4 --json /tmp/ppat_shard_4.json
-	dune exec bench/main.exe -- --compare /tmp/ppat_shard_serial.json /tmp/ppat_shard_2.json
-	dune exec bench/main.exe -- --compare /tmp/ppat_shard_serial.json /tmp/ppat_shard_4.json
-	dune exec bench/main.exe -- --serve 120 --zipf 1.1 --json /tmp/ppat_shard_serve_0.json
-	dune exec bench/main.exe -- --serve 120 --zipf 1.1 --sharded 2 --json /tmp/ppat_shard_serve_2.json
-	dune exec bench/main.exe -- --compare /tmp/ppat_shard_serve_0.json /tmp/ppat_shard_serve_2.json
-	dune exec bin/ppat.exe -- sweep sum_rows --budget 32 --workers 2 > /dev/null
-	@echo "shard: merged trajectories digest-identical at 1/2/4 workers; sharded sweep OK"
-
-# approximate-L2 drift validation: six bench apps plus seeded random
-# kernels under exact and approx pricing across sim_jobs {1,2,4}; exact
-# parallel runs must stay bit-identical to serial, approx runs must stay
-# inside the committed envelope (< 2% L2 hit-rate drift, zero drift on
-# every counter the L2 does not feed)
-l2-validate: build
-	dune exec bench/main.exe -- --l2-validate --json /tmp/ppat_l2_validate.json
-	@echo "l2-validate: exact bit-identical, approx inside the drift envelope"
-
 # bench regression gate: regenerate the perf trajectory (single app worker
 # so wall clocks are undistorted) and diff it against the frozen artifact
 # of the previous PR — once with default lowering and once with shuffle
@@ -146,30 +131,23 @@ bench-diff: build
 	dune exec bench/main.exe -- --compare BENCH_pr9_serve_baseline.json /tmp/ppat_serve_gate.json
 	dune exec bench/main.exe -- --sweep -j 4 --json /tmp/ppat_sweep_gate.json
 	dune exec bench/main.exe -- --compare BENCH_pr9_sweep.json /tmp/ppat_sweep_gate.json
-	dune exec bench/main.exe -- --sharded 2 -j 1 --best-of 3 --json /tmp/ppat_bench_shard_gate.json
-	dune exec bench/main.exe -- --compare BENCH_pr10_baseline.json /tmp/ppat_bench_shard_gate.json
-	PPAT_L2_MODE=approx PPAT_SIM_JOBS=4 dune exec bench/main.exe -- -j 1 --best-of 3 --json /tmp/ppat_bench_approx_gate.json
-	dune exec bench/main.exe -- --compare BENCH_pr10_baseline.json /tmp/ppat_bench_approx_gate.json
 
-check: build test smoke engines cost-models parallel bench-smoke report serve racecheck sweep shard l2-validate bench-diff
+check: build test smoke engines cost-models parallel bench-smoke report serve racecheck sweep bench-diff
 
 bench:
 	dune exec bench/main.exe -- --json BENCH_run.json
 
-# the checked-in PR artifact for the current PR (single app worker so the
-# per-app wall clocks are not distorted by co-scheduling). The committed
-# BENCH_pr*_baseline.json files are frozen pre-change runs and are not
-# regenerated here.
+# fresh trajectories of every bench mode, written to gitignored
+# BENCH_run_*.json files (single app worker so the per-app wall clocks
+# are not distorted by co-scheduling). The committed BENCH_pr*.json
+# artifacts are frozen runs that bench-diff gates against; they are
+# never regenerated here — copy a run over one by hand to re-freeze it.
 bench-json: build
-	dune exec bench/main.exe -- -j 1 --best-of 3 --json BENCH_pr9_baseline.json
-	PPAT_SHUFFLE=1 dune exec bench/main.exe -- -j 1 --best-of 3 --json BENCH_pr9.json
-	dune exec bench/main.exe -- --serve 200 --zipf 1.1 --no-cache --json BENCH_pr9_serve_baseline.json
-	dune exec bench/main.exe -- --serve 200 --zipf 1.1 --json BENCH_pr9_serve.json
-	dune exec bench/main.exe -- --sweep -j 4 --json BENCH_pr9_sweep.json
-	dune exec bench/main.exe -- -j 1 --best-of 3 --json BENCH_pr10_baseline.json
-	dune exec bench/main.exe -- --sharded 2 -j 1 --best-of 3 --json BENCH_pr10.json
-	PPAT_L2_MODE=approx PPAT_SIM_JOBS=4 dune exec bench/main.exe -- -j 1 --best-of 3 --json BENCH_pr10_approx.json
-	dune exec bench/main.exe -- --l2-validate --json BENCH_pr10_l2_validate.json
+	dune exec bench/main.exe -- -j 1 --best-of 3 --json BENCH_run_classic.json
+	PPAT_SHUFFLE=1 dune exec bench/main.exe -- -j 1 --best-of 3 --json BENCH_run_shuffle.json
+	dune exec bench/main.exe -- --serve 200 --zipf 1.1 --no-cache --json BENCH_run_serve_cold.json
+	dune exec bench/main.exe -- --serve 200 --zipf 1.1 --json BENCH_run_serve.json
+	dune exec bench/main.exe -- --sweep -j 4 --json BENCH_run_sweep.json
 
 clean:
 	dune clean

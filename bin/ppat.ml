@@ -20,31 +20,17 @@ let dev = Ppat_gpu.Device.k20c
 
 module A = Ppat_apps
 module Cost_model = Ppat_core.Cost_model
-module Shard = Ppat_shard.Shard
-
-let l2_mode_name () =
-  match !Ppat_gpu.Tuning.l2_mode with
-  | Ppat_gpu.Tuning.L2_exact -> "exact"
-  | Ppat_gpu.Tuning.L2_approx -> "approx"
 
 let registry : (string * (unit -> A.App.t)) list = A.Registry.all
 
-let strategy_of_string = function
-  | "auto" | "multidim" -> Ppat_core.Strategy.Auto
-  | "1d" | "one_d" -> Ppat_core.Strategy.One_d
-  | "tbt" | "thread_block" -> Ppat_core.Strategy.Thread_block_thread
-  | "warp" | "warp_based" -> Ppat_core.Strategy.Warp_based
-  | s -> failwith (Printf.sprintf "unknown strategy %S (auto|1d|tbt|warp)" s)
+(* a malformed flag value is a usage error: one line naming the flag and
+   the accepted values, exit 2 — never an uncaught exception *)
+let usage_error msg =
+  prerr_endline ("ppat: " ^ msg);
+  exit 2
 
-let engine_of_string = function
-  | "compiled" | "closure" -> Ppat_kernel.Interp.Compiled
-  | "reference" | "ref" | "interp" -> Ppat_kernel.Interp.Reference
-  | s -> failwith (Printf.sprintf "unknown engine %S (compiled|reference)" s)
-
-let cost_model_of_string s =
-  match Cost_model.of_string s with
-  | Ok m -> m
-  | Error e -> failwith e
+let or_usage = function Ok v -> v | Error e -> usage_error e
+let pos_int flag n = or_usage (Ppat_gpu.Tuning.parse_pos_int ~name:flag n)
 
 let find_app name =
   match List.assoc_opt name registry with
@@ -467,29 +453,7 @@ let cmd_modelcmp name engine top json =
    (stage once per shape, replay the rest), plus the predictor-vs-
    simulator calibration loop ----- *)
 
-(* one evaluated candidate, as both the in-process and the sharded sweep
-   paths surface it — the calibration fit, the regret gate and the JSON
-   report consume only this view, so the two paths cannot diverge
-   downstream of evaluation *)
-type cand_view = {
-  v_staged : bool;
-  v_shape : string option;
-  v_digest : string option;
-  v_sim : float option;  (* simulated target seconds, when the run succeeded *)
-  v_error : string option;
-}
-
-type sweep_counts = {
-  k_shapes : int;
-  k_staged : int;
-  k_replayed : int;
-  k_failed : int;
-  k_candidates : int;
-  k_stage_seconds : float;
-  k_wall_seconds : float;
-}
-
-let cmd_sweep name engine sim_jobs jobs budget workers json =
+let cmd_sweep name engine sim_jobs jobs budget json =
   let app = find_app name in
   let data = A.App.input_data app in
   let base, tpid, tlabel, tc, cands, dupes = target_space app in
@@ -533,262 +497,58 @@ let cmd_sweep name engine sim_jobs jobs budget workers json =
     "sweep %s: target %S, %d unique candidates (%d duplicate(s) dropped), \
      evaluating %d (budget %d)@."
     name tlabel n dupes (Array.length sel) budget;
-  (* evaluate a subset of the population (given as population indices) on
-     this process's pool, corroborating the staging metrics here — in the
-     sharded path this runs inside each worker, whose exit code carries
-     the verdict *)
-  let eval_positions positions =
-    let staged_c = Ppat_profile.Metrics.counter "sweep.shapes_staged" in
-    let evaluated_c =
-      Ppat_profile.Metrics.counter "sweep.candidates_evaluated"
-    in
-    let staged0 = Ppat_profile.Metrics.value staged_c in
-    let evaluated0 = Ppat_profile.Metrics.value evaluated_c in
-    let results, stats =
-      Ppat_harness.Runner.sweep_mapped ~engine ~sim_jobs ~jobs
-        ~params:app.params dev app.prog ~target_pid:tpid ~base
-        (Array.map (fun i -> cands.(i)) positions)
-        data
-    in
-    let staged_d = Ppat_profile.Metrics.value staged_c -. staged0 in
-    let evaluated_d = Ppat_profile.Metrics.value evaluated_c -. evaluated0 in
-    (* the metrics must corroborate stage-once-per-shape: exactly one
-       staging per distinct shape, and every candidate counted *)
-    if
-      int_of_float staged_d <> stats.Ppat_harness.Runner.sw_shapes
-      || int_of_float staged_d <> stats.sw_staged
-      || int_of_float evaluated_d <> stats.sw_candidates
-    then begin
-      Format.eprintf
-        "sweep: metrics disagree with stage-once-per-shape (staged %g for %d \
-         shape(s), evaluated %g of %d)@."
-        staged_d stats.sw_shapes evaluated_d stats.sw_candidates;
-      exit 1
-    end;
-    let views =
-      Array.map
-        (fun (c : Ppat_harness.Runner.sweep_candidate) ->
-          {
-            v_staged = c.sc_staged;
-            v_shape = c.sc_shape;
-            v_digest = c.sc_digest;
-            v_sim = c.sc_target_seconds;
-            v_error =
-              (match c.sc_result with Error e -> Some e | Ok _ -> None);
-          })
-        results
-    in
-    ( views,
-      {
-        k_shapes = stats.sw_shapes;
-        k_staged = stats.sw_staged;
-        k_replayed = stats.sw_replayed;
-        k_failed = stats.sw_failed;
-        k_candidates = stats.sw_candidates;
-        k_stage_seconds = stats.sw_stage_seconds;
-        k_wall_seconds = stats.sw_wall_seconds;
-      } )
+  (* evaluate the selection on this process's pool, corroborating the
+     staging metrics *)
+  let staged_c = Ppat_profile.Metrics.counter "sweep.shapes_staged" in
+  let evaluated_c = Ppat_profile.Metrics.counter "sweep.candidates_evaluated" in
+  let staged0 = Ppat_profile.Metrics.value staged_c in
+  let evaluated0 = Ppat_profile.Metrics.value evaluated_c in
+  let results, counts =
+    Ppat_harness.Runner.sweep_mapped ~engine ~sim_jobs ~jobs
+      ~params:app.params dev app.prog ~target_pid:tpid ~base
+      (Array.map (fun i -> cands.(i)) sel)
+      data
   in
-  let view_json pos v =
-    let open Ppat_profile.Jsonx in
-    Obj
-      ([ ("pos", Int pos); ("staged", Bool v.v_staged) ]
-      @ (match v.v_shape with Some s -> [ ("shape", Str s) ] | None -> [])
-      @ (match v.v_digest with Some d -> [ ("digest", Str d) ] | None -> [])
-      @ (match v.v_sim with Some s -> [ ("sim", number s) ] | None -> [])
-      @ match v.v_error with Some e -> [ ("error", Str e) ] | None -> [])
-  in
-  let view_of_json j =
-    let open Ppat_profile.Jsonx in
-    let mem k = member k j in
-    match (Option.bind (mem "pos") to_int, mem "staged") with
-    | Some pos, Some (Bool st) ->
-      Some
-        ( pos,
-          {
-            v_staged = st;
-            v_shape = Option.bind (mem "shape") to_str;
-            v_digest = Option.bind (mem "digest") to_str;
-            v_sim = Option.bind (mem "sim") to_float;
-            v_error = Option.bind (mem "error") to_str;
-          } )
-    | _ -> None
-  in
-  let counts_json k =
-    let open Ppat_profile.Jsonx in
-    Obj
-      [
-        ("shapes", Int k.k_shapes);
-        ("staged", Int k.k_staged);
-        ("replayed", Int k.k_replayed);
-        ("failed", Int k.k_failed);
-        ("candidates", Int k.k_candidates);
-        ("stage_seconds", number k.k_stage_seconds);
-        ("wall_seconds", number k.k_wall_seconds);
-      ]
-  in
-  let counts_of_json j =
-    let open Ppat_profile.Jsonx in
-    let int k = Option.bind (member k j) to_int in
-    let num k = Option.bind (member k j) to_float in
-    match
-      ( int "shapes", int "staged", int "replayed", int "failed",
-        int "candidates", num "stage_seconds", num "wall_seconds" )
-    with
-    | ( Some sh, Some st, Some re, Some fa, Some ca, Some ss, Some ws ) ->
-      Some
-        {
-          k_shapes = sh; k_staged = st; k_replayed = re; k_failed = fa;
-          k_candidates = ca; k_stage_seconds = ss; k_wall_seconds = ws;
-        }
-    | _ -> None
-  in
-  let add_counts a b =
-    {
-      k_shapes = a.k_shapes + b.k_shapes;
-      k_staged = a.k_staged + b.k_staged;
-      k_replayed = a.k_replayed + b.k_replayed;
-      k_failed = a.k_failed + b.k_failed;
-      k_candidates = a.k_candidates + b.k_candidates;
-      k_stage_seconds = a.k_stage_seconds +. b.k_stage_seconds;
-      k_wall_seconds = a.k_wall_seconds +. b.k_wall_seconds;
-    }
-  in
-  let zero_counts =
-    {
-      k_shapes = 0; k_staged = 0; k_replayed = 0; k_failed = 0;
-      k_candidates = 0; k_stage_seconds = 0.; k_wall_seconds = 0.;
-    }
-  in
-  (* evaluation: in-process on the pool, or sharded across worker
-     processes with candidates partitioned by the content digest of their
-     mapping — a stable key, so the partition is deterministic and every
-     selected candidate lands in exactly one worker *)
-  let views, counts, sharding =
-    if workers <= 1 then begin
-      let views, counts = eval_positions sel in
-      (views, counts, None)
-    end
-    else begin
-      let owner =
-        Array.map
-          (fun i ->
-            Shard.shard_of ~workers
-              (Digest.to_hex (Digest.string (Marshal.to_string cands.(i) []))))
-          sel
-      in
-      let t0 = Unix.gettimeofday () in
-      match
-        Shard.fork_shards ~workers (fun w ->
-            let mine = ref [] in
-            Array.iteri
-              (fun si o -> if o = w then mine := si :: !mine)
-              owner;
-            let mine = Array.of_list (List.rev !mine) in
-            let views, counts =
-              eval_positions (Array.map (fun si -> sel.(si)) mine)
-            in
-            let open Ppat_profile.Jsonx in
-            Obj
-              [
-                ("counts", counts_json counts);
-                ( "cands",
-                  List
-                    (Array.to_list
-                       (Array.mapi (fun k v -> view_json mine.(k) v) views))
-                );
-              ])
-      with
-      | Error e ->
-        Format.eprintf "sweep: %s@." e;
-        exit 2
-      | Ok rs ->
-        let wall = Unix.gettimeofday () -. t0 in
-        let n_sel = Array.length sel in
-        let dummy =
-          { v_staged = false; v_shape = None; v_digest = None; v_sim = None;
-            v_error = Some "uncovered" }
-        in
-        let views = Array.make n_sel dummy in
-        let covered = Array.make n_sel false in
-        let counts = ref zero_counts in
-        Array.iter
-          (fun (r : Shard.worker_result) ->
-            let open Ppat_profile.Jsonx in
-            let bad msg =
-              Format.eprintf "sweep: worker %d payload %s@." r.Shard.w_id msg;
-              exit 2
-            in
-            (match Option.bind (member "counts" r.Shard.w_payload)
-                     counts_of_json with
-            | Some k -> counts := add_counts !counts k
-            | None -> bad "missing counts");
-            match Option.bind (member "cands" r.Shard.w_payload) to_list with
-            | None -> bad "missing cands"
-            | Some l ->
-              List.iter
-                (fun cj ->
-                  match view_of_json cj with
-                  | None -> bad "holds a malformed candidate"
-                  | Some (pos, v) ->
-                    if pos < 0 || pos >= n_sel then
-                      bad (Printf.sprintf "names position %d of %d" pos n_sel);
-                    if covered.(pos) then
-                      bad (Printf.sprintf "covers position %d twice" pos);
-                    covered.(pos) <- true;
-                    views.(pos) <- v)
-                l)
-          rs;
-        Array.iteri
-          (fun pos c ->
-            if not c then begin
-              Format.eprintf "sweep: no worker covered position %d@." pos;
-              exit 2
-            end)
-          covered;
-        (views, !counts, Some (wall, rs))
-    end
-  in
+  let staged_d = Ppat_profile.Metrics.value staged_c -. staged0 in
+  let evaluated_d = Ppat_profile.Metrics.value evaluated_c -. evaluated0 in
+  (* the metrics must corroborate stage-once-per-shape: exactly one
+     staging per distinct shape, and every candidate counted *)
+  if
+    int_of_float staged_d <> counts.Ppat_harness.Runner.sw_shapes
+    || int_of_float staged_d <> counts.sw_staged
+    || int_of_float evaluated_d <> counts.sw_candidates
+  then begin
+    Format.eprintf
+      "sweep: metrics disagree with stage-once-per-shape (staged %g for %d \
+       shape(s), evaluated %g of %d)@."
+      staged_d counts.sw_shapes evaluated_d counts.sw_candidates;
+    exit 1
+  end;
   let share =
-    if counts.k_wall_seconds > 0. then
-      counts.k_stage_seconds /. counts.k_wall_seconds
+    if counts.sw_wall_seconds > 0. then
+      counts.sw_stage_seconds /. counts.sw_wall_seconds
     else 0.
   in
   let amortisation =
-    if counts.k_staged > 0 then
-      float_of_int (counts.k_staged + counts.k_replayed)
-      /. float_of_int counts.k_staged
+    if counts.sw_staged > 0 then
+      float_of_int (counts.sw_staged + counts.sw_replayed)
+      /. float_of_int counts.sw_staged
     else 0.
   in
   Format.printf
     "  %d shape(s): %d staged, %d replayed, %d failed; staging %.3fs of \
      %.3fs wall (share %.1f%%, amortisation %.1fx)@."
-    counts.k_shapes counts.k_staged counts.k_replayed counts.k_failed
-    counts.k_stage_seconds counts.k_wall_seconds (100. *. share) amortisation;
-  (match sharding with
-  | None -> ()
-  | Some (wall, rs) ->
-    (* a shape whose candidates straddle workers is staged once per
-       worker, so sharded shape/staged counts are sums of per-worker
-       counts, not the unsharded minimum; wall counters above are summed
-       worker walls, the fan-out wall is this line *)
-    Format.printf "  sharded over %d worker process(es): fan-out wall %.3fs \
-                   (worker walls%t)@."
-      workers wall
-      (fun ppf ->
-        Array.iter
-          (fun (r : Shard.worker_result) ->
-            Format.fprintf ppf " %.3fs" r.Shard.w_wall)
-          rs));
+    counts.sw_shapes counts.sw_staged counts.sw_replayed counts.sw_failed
+    counts.sw_stage_seconds counts.sw_wall_seconds (100. *. share) amortisation;
   (* ground truth: simulated model seconds of the target pattern, keyed
      by population index *)
   let sim = Hashtbl.create 32 in
   Array.iteri
-    (fun si v ->
-      match (v.v_error, v.v_sim) with
-      | None, Some s -> Hashtbl.replace sim sel.(si) s
+    (fun si (c : Ppat_harness.Runner.sweep_candidate) ->
+      match (c.sc_result, c.sc_target_seconds) with
+      | Ok _, Some s -> Hashtbl.replace sim sel.(si) s
       | _ -> ())
-    views;
+    results;
   let simulated =
     Hashtbl.fold (fun i s acc -> (i, s) :: acc) sim []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -894,23 +654,22 @@ let cmd_sweep name engine sim_jobs jobs budget workers json =
     let opt_number = function None -> Null | Some x -> number x in
     let j =
       Obj
-        ([
-           ("schema", Str "ppat-sweep/1");
+        [
+          ("schema", Str "ppat-sweep/1");
           ("app", Str name);
           ("pattern", Str tlabel);
           ("population", Int n);
           ("duplicates_dropped", Int dupes);
           ("budget", Int budget);
-          ("evaluated", Int counts.k_candidates);
-          ("shapes", Int counts.k_shapes);
-          ("staged", Int counts.k_staged);
-          ("replayed", Int counts.k_replayed);
-          ("failed", Int counts.k_failed);
-          ("stage_seconds", number counts.k_stage_seconds);
-          ("wall_seconds", number counts.k_wall_seconds);
+          ("evaluated", Int counts.sw_candidates);
+          ("shapes", Int counts.sw_shapes);
+          ("staged", Int counts.sw_staged);
+          ("replayed", Int counts.sw_replayed);
+          ("failed", Int counts.sw_failed);
+          ("stage_seconds", number counts.sw_stage_seconds);
+          ("wall_seconds", number counts.sw_wall_seconds);
           ("staging_share", number share);
           ("amortisation", number amortisation);
-          ("l2_mode", Str (l2_mode_name ()));
           ( "calibration",
             match calib with
             | Some c ->
@@ -941,34 +700,29 @@ let cmd_sweep name engine sim_jobs jobs budget workers json =
             List
               (Array.to_list
                  (Array.mapi
-                    (fun si v ->
+                    (fun si (c : Ppat_harness.Runner.sweep_candidate) ->
                       Obj
                         ([
                            ( "mapping",
                              Str (Ppat_core.Mapping.to_string cands.(sel.(si)))
                            );
-                           ("staged", Bool v.v_staged);
+                           ("staged", Bool c.sc_staged);
                          ]
-                        @ (match v.v_shape with
+                        @ (match c.sc_shape with
                            | Some s -> [ ("shape", Str s) ]
                            | None -> [])
-                        @ (match v.v_digest with
+                        @ (match c.sc_digest with
                            | Some d -> [ ("digest", Str d) ]
                            | None -> [])
-                        @ (match v.v_sim with
+                        @ (match c.sc_target_seconds with
                            | Some s -> [ ("sim_seconds", number s) ]
                            | None -> [])
                         @
-                        match v.v_error with
-                        | Some e -> [ ("error", Str e) ]
-                        | None -> []))
-                    views)) );
-         ]
-        @
-        match sharding with
-        | None -> []
-        | Some (wall, rs) ->
-          [ ("sharding", Shard.sharding_json ~workers ~wall rs) ])
+                        match c.sc_result with
+                        | Error e -> [ ("error", Str e) ]
+                        | Ok _ -> []))
+                    results)) );
+        ]
     in
     to_file f j;
     Format.printf "wrote sweep report to %s@." f
@@ -1076,12 +830,6 @@ let cmd_figures names =
 let cmd_serve rest =
   let jobs = ref None and socket = ref None in
   let plan_cap = ref 64 and memo_cap = ref 256 in
-  let workers = ref 1 in
-  let pos_int flag n =
-    match int_of_string_opt n with
-    | Some v when v >= 1 -> v
-    | _ -> failwith (Printf.sprintf "%s expects a positive integer, got %S" flag n)
-  in
   let rec go = function
     | [] -> ()
     | "--jobs" :: n :: rest ->
@@ -1090,24 +838,13 @@ let cmd_serve rest =
     | "--socket" :: p :: rest ->
       socket := Some p;
       go rest
-    | "--workers" :: n :: rest ->
-      workers :=
-        (match n with
-        | "auto" | "0" -> Shard.default_workers ()
-        | _ -> pos_int "--workers" n);
-      go rest
-    | "--l2-mode" :: m :: rest ->
-      (match Ppat_gpu.Tuning.parse_l2_mode ~name:"--l2-mode" m with
-      | Ok v -> Ppat_gpu.Tuning.l2_mode := v
-      | Error e -> failwith e);
-      go rest
     | "--plan-cache" :: n :: rest ->
       plan_cap := pos_int "--plan-cache" n;
       go rest
     | "--memo-cache" :: n :: rest ->
       memo_cap := pos_int "--memo-cache" n;
       go rest
-    | arg :: _ -> failwith (Printf.sprintf "serve: unexpected argument %S" arg)
+    | arg :: _ -> usage_error (Printf.sprintf "serve: unexpected argument %S" arg)
   in
   go rest;
   let server =
@@ -1116,15 +853,9 @@ let cmd_serve rest =
   in
   match !socket with
   | Some path ->
-    if !workers > 1 then
-      Format.eprintf "ppat serve: listening on %s (%d worker processes)@."
-        path !workers
-    else Format.eprintf "ppat serve: listening on %s@." path;
-    Ppat_serve.Serve.serve_socket ?jobs:!jobs ~workers:!workers server path
-  | None ->
-    if !workers > 1 then
-      failwith "serve: --workers needs --socket (stdin has one reader)";
-    Ppat_serve.Serve.serve_stdin ?jobs:!jobs server
+    Format.eprintf "ppat serve: listening on %s@." path;
+    Ppat_serve.Serve.serve_socket ?jobs:!jobs server path
+  | None -> Ppat_serve.Serve.serve_stdin ?jobs:!jobs server
 
 let usage () =
   print_endline
@@ -1147,24 +878,19 @@ let usage () =
      \                            model; report rank correlation and regret\n\
      \                            against the simulator\n\
      \  sweep APP [--engine E] [--budget N] [--jobs N] [--sim-jobs N]\n\
-     \                            [--workers N] [--json FILE]\n\
+     \                            [--json FILE]\n\
      \                            batched mapping-space sweep: stage each\n\
      \                            mapping shape once, replay the population\n\
      \                            through it, fit the predictor calibration\n\
      \                            and report before/after rank quality;\n\
      \                            --budget caps simulations (active learning\n\
      \                            picks where the cost models disagree),\n\
-     \                            --jobs fans candidates out on the pool,\n\
-     \                            --workers N|auto shards candidates over\n\
-     \                            forked worker processes (auto: one per core)\n\
-     \  serve [--jobs N] [--socket PATH] [--workers N] [--plan-cache N]\n\
-     \                            [--memo-cache N]\n\
+     \                            --jobs fans candidates out on the pool\n\
+     \  serve [--jobs N] [--socket PATH] [--plan-cache N] [--memo-cache N]\n\
      \                            persistent mapping service: line-delimited\n\
      \                            JSON requests (schema ppat-serve/1) on stdin\n\
      \                            or a Unix socket; repeats are answered from\n\
-     \                            the memoised search and staged-plan caches;\n\
-     \                            --workers N|auto pre-forks that many accept-\n\
-     \                            loop processes on the socket\n\
+     \                            the memoised search and staged-plan caches\n\
      \  racecheck [APP...|--all] [--shuffle]\n\
      \                            static shared-memory race / barrier-\n\
      \                            divergence check over the staged kernels\n\
@@ -1180,13 +906,7 @@ let usage () =
      \                            any N (default: 1, or $PPAT_SIM_JOBS)\n\
      \  --shuffle                 synthesise warp-shuffle tree reductions in\n\
      \                            place of shared-memory trees when the level\n\
-     \                            fits one warp (default: off, or $PPAT_SHUFFLE)\n\
-     \  --l2-mode exact|approx    L2 pricing under parallel simulation: exact\n\
-     \                            logs and replays for bit-identical counters;\n\
-     \                            approx prices directly through the shared\n\
-     \                            sliced table under per-slice locks, drift\n\
-     \                            bounded by the l2-validate envelope\n\
-     \                            (default: exact, or $PPAT_L2_MODE)"
+     \                            fits one warp (default: off, or $PPAT_SHUFFLE)"
 
 type flags = {
   f_strat : Ppat_core.Strategy.t;
@@ -1198,7 +918,6 @@ type flags = {
   f_sim_jobs : int;
   f_jobs : int;
   f_budget : int;
-  f_workers : int;  (* 0 = unsharded *)
 }
 
 (* [-s STRAT] [--engine E] [--cost-model M] [--json FILE]
@@ -1213,14 +932,13 @@ let parse_flags rest =
   let sim_jobs = ref (Ppat_kernel.Interp.default_jobs ()) in
   let jobs = ref (Ppat_parallel.default_jobs ()) in
   let budget = ref 0 in
-  let workers = ref 0 in
   let rec go = function
     | [] -> ()
     | "-s" :: s :: rest ->
-      strat := strategy_of_string s;
+      strat := or_usage (Ppat_core.Strategy.of_string ~name:"-s" s);
       go rest
     | "--engine" :: e :: rest ->
-      engine := engine_of_string e;
+      engine := or_usage (Ppat_kernel.Interp.engine_of_string ~name:"--engine" e);
       go rest
     | "--shuffle" :: rest ->
       (* process-wide: the lowering's effective options, the predictor's
@@ -1228,7 +946,9 @@ let parse_flags rest =
       Ppat_gpu.Tuning.shuffle_enabled := true;
       go rest
     | "--cost-model" :: m :: rest ->
-      model := cost_model_of_string m;
+      model :=
+        or_usage
+          (Result.map_error (( ^ ) "--cost-model: ") (Cost_model.of_string m));
       go rest
     | "--json" :: f :: rest ->
       json := Some f;
@@ -1237,46 +957,16 @@ let parse_flags rest =
       chrome := Some f;
       go rest
     | "--sim-jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> sim_jobs := min n Ppat_parallel.max_jobs
-       | _ ->
-         failwith
-           (Printf.sprintf "--sim-jobs expects a positive integer, got %S" n));
+      sim_jobs := min (pos_int "--sim-jobs" n) Ppat_parallel.max_jobs;
       go rest
     | "--top" :: k :: rest ->
-      (match int_of_string_opt k with
-       | Some k when k > 0 -> top := k
-       | _ -> failwith (Printf.sprintf "--top expects a positive integer, got %S" k));
+      top := pos_int "--top" k;
       go rest
     | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> jobs := min n Ppat_parallel.max_jobs
-       | _ ->
-         failwith (Printf.sprintf "--jobs expects a positive integer, got %S" n));
+      jobs := min (pos_int "--jobs" n) Ppat_parallel.max_jobs;
       go rest
     | "--budget" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> budget := n
-       | _ ->
-         failwith
-           (Printf.sprintf "--budget expects a positive integer, got %S" n));
-      go rest
-    | "--workers" :: n :: rest ->
-      (match n with
-       | "auto" -> workers := Shard.default_workers ()
-       | _ ->
-         (match int_of_string_opt n with
-          | Some n when n >= 0 -> workers := n
-          | _ ->
-            failwith
-              (Printf.sprintf
-                 "--workers expects a non-negative integer or 'auto', got %S"
-                 n)));
-      go rest
-    | "--l2-mode" :: m :: rest ->
-      (match Ppat_gpu.Tuning.parse_l2_mode ~name:"--l2-mode" m with
-       | Ok v -> Ppat_gpu.Tuning.l2_mode := v
-       | Error e -> failwith e);
+      budget := pos_int "--budget" n;
       go rest
     | arg :: _ ->
       Format.eprintf "unexpected argument %S@." arg;
@@ -1294,7 +984,6 @@ let parse_flags rest =
     f_sim_jobs = !sim_jobs;
     f_jobs = !jobs;
     f_budget = !budget;
-    f_workers = !workers;
   }
 
 let () =
@@ -1338,8 +1027,7 @@ let () =
       Format.eprintf "--chrome-trace applies to 'profile' only@.";
       exit 1
     end;
-    cmd_sweep name f.f_engine f.f_sim_jobs f.f_jobs f.f_budget f.f_workers
-      f.f_json
+    cmd_sweep name f.f_engine f.f_sim_jobs f.f_jobs f.f_budget f.f_json
   | _ :: "serve" :: rest -> cmd_serve rest
   | _ :: "racecheck" :: rest -> cmd_racecheck rest
   | _ :: "cuda" :: name :: rest ->

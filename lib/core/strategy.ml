@@ -23,6 +23,15 @@ let name = function
 
 let all_fixed = [ One_d; Thread_block_thread; Warp_based ]
 
+let of_string ~name =
+  Ppat_gpu.Tuning.parse_enum ~name
+    [
+      ([ "auto"; "multidim" ], Auto);
+      ([ "1d"; "one_d" ], One_d);
+      ([ "tbt"; "thread_block" ], Thread_block_thread);
+      ([ "warp"; "warp_based" ], Warp_based);
+    ]
+
 (* overlay hard Span(all) requirements onto a preset *)
 let respect_hard (c : Collect.t) (m : Mapping.t) =
   Array.mapi

@@ -38,6 +38,11 @@ type decision = {
 
 val name : t -> string
 
+val of_string : name:string -> string -> (t, string) result
+(** Parse a strategy name ([auto|1d|tbt|warp], plus the long aliases
+    [multidim|one_d|thread_block|warp_based]). The error names [name] —
+    the flag or field the value came from — and the accepted values. *)
+
 val decide :
   ?trace:(Search.traced -> unit) ->
   ?model:Cost_model.kind ->

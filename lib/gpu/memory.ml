@@ -9,7 +9,7 @@ type entry = { base : int; elem_bytes : int; data : Ppat_ir.Host.buf }
    this is not a Hashtbl (whose [replace] is a remove+add that allocates a
    bucket cell on every touch).
 
-   The L2 is sharded into [Device.l2_slices] such tables, a line id hashing
+   The L2 is split into [Device.l2_slices] such tables, a line id hashing
    to exactly one slice — the same address-partitioned organisation as the
    hardware's banked L2 (one slice per memory partition). Each slice keeps
    its own tick counter and evicts against its own share of the capacity,
@@ -30,11 +30,6 @@ type t = {
      the lifetime of the memory (the engines pass [Device.l2_slices]; the
      legacy list API models a single unified table) *)
   mutable l2 : l2_slice array;
-  (* one mutex per slice, allocated with the slices: the approximate-L2
-     mode prices accesses from parallel workers straight through the
-     shared table, and a line maps to exactly one slice, so per-slice
-     locking is all the mutual exclusion the open-addressed tables need *)
-  mutable l2_locks : Mutex.t array;
   (* bumped on every rebinding event (load/alloc/swap/rebind): compiled
      launches capture entries, so a staged-kernel cache keyed by kernel
      digest is only valid while the epoch it was compiled under holds *)
@@ -51,7 +46,6 @@ let create () =
     next_base = 256;
     bufs = Hashtbl.create 32;
     l2 = [||];
-    l2_locks = [||];
     epoch = 0;
   }
 
@@ -328,16 +322,9 @@ let fresh_slice () =
   }
 
 let l2_get t ~slices =
-  if Array.length t.l2 = 0 then begin
+  if Array.length t.l2 = 0 then
     t.l2 <- Array.init (max 1 slices) (fun _ -> fresh_slice ());
-    t.l2_locks <- Array.init (max 1 slices) (fun _ -> Mutex.create ())
-  end;
   t.l2
-
-(* force the lazy slice creation from a serial context — the locked
-   accessor below may be entered by several domains at once, which must
-   never race the initial table allocation *)
-let l2_prepare t ~slices = ignore (l2_get t ~slices)
 
 (* insert a key known to be absent into fresh arrays (rebuild helper) *)
 let l2_insert keys ticks mask line tick =
@@ -470,40 +457,6 @@ let cache_access_lines t ~cap_lines ?(slices = 1) (lines : int array) n =
     touch_line
       (Array.unsafe_get l2 (l2_slice_of line nslices))
       ~slice_cap line hits
-  done;
-  !hits
-
-(* ----- concurrent pricing (approximate-L2 mode) -----
-
-   Parallel workers price their global accesses straight through the
-   shared sliced table, taking the slice's mutex per line. A line maps
-   to exactly one slice, so two workers only contend when they touch the
-   same slice at the same moment, and a slice's arrays are only ever
-   mutated under its own lock. Slice routing, probing, capacity shares
-   and eviction are the exact same code as the serial path; the only
-   modelling difference is the interleaving of the workers' streams
-   within a slice. While a slice stays under its capacity share,
-   hit/miss is a pure function of line-set membership and the outcome is
-   bit-identical to the serial replay; under eviction pressure the
-   interleaving perturbs the recency ticks, which is the bounded
-   hit-rate drift the validation harness gates.
-
-   Callers must [l2_prepare] from a serial context first. *)
-
-let cache_access_lines_locked t ~cap_lines ?(slices = 1) (lines : int array) n
-    =
-  let l2 = l2_get t ~slices in
-  let nslices = Array.length l2 in
-  let slice_cap = max 1 (cap_lines / nslices) in
-  let locks = t.l2_locks in
-  let hits = ref 0 in
-  for i = 0 to n - 1 do
-    let line = Array.unsafe_get lines i in
-    let s = l2_slice_of line nslices in
-    let m = Array.unsafe_get locks s in
-    Mutex.lock m;
-    touch_line (Array.unsafe_get l2 s) ~slice_cap line hits;
-    Mutex.unlock m
   done;
   !hits
 

@@ -112,24 +112,3 @@ val cache_access : t -> cap_lines:int -> lines:int list -> int
     approximate-LRU set of line ids, shared across kernel launches like the
     real unified L2); returns how many of them hit. List-based legacy
     entry point; models a single unified slice. *)
-
-(** {2 Concurrent pricing (approximate-L2 mode)}
-
-    The opt-in approximate mode prices global accesses from parallel
-    workers straight through the shared sliced table, one mutex per
-    slice — no replay log, no serial merge pass. While a slice stays
-    under its capacity share, hit/miss depends only on line-set
-    membership and the outcome is bit-identical to the serial replay;
-    under eviction pressure the interleaving of worker streams perturbs
-    the recency ticks, which is the bounded hit-rate drift the
-    validation harness gates. *)
-
-val l2_prepare : t -> slices:int -> unit
-(** Force the lazy slice-table (and lock) allocation from a serial
-    context. Must run before any {!cache_access_lines_locked} from
-    worker domains — the lazy initialisation itself is not locked. *)
-
-val cache_access_lines_locked :
-  t -> cap_lines:int -> ?slices:int -> int array -> int -> int
-(** {!cache_access_lines}, safe to call from several domains at once:
-    each line's touch runs under its slice's mutex. *)

@@ -96,44 +96,6 @@ let l2_hit_rate s =
   let total = s.bytes +. s.l2_bytes in
   if total <= 0. then 0. else s.l2_bytes /. total
 
-(* ----- approximate-L2 drift accounting -----
-
-   The approximate mode can only re-split global traffic between DRAM
-   ([bytes]) and the L2 ([l2_bytes]): coalescing, instruction counts,
-   bank conflicts and atomics never consult the cache tables, and the
-   total [bytes + l2_bytes] is transactions * transaction_bytes either
-   way. These helpers state that invariant and quantify the one thing
-   that may move — the hit split — for the l2-validate harness. *)
-
-let rel_drift exact approx =
-  if Float.equal exact approx then 0.
-  else if Float.abs exact > 0. then
-    Float.abs (approx -. exact) /. Float.abs exact
-  else infinity
-
-(* per-counter (name, exact, approx, relative drift), plus the derived
-   l2_hit_rate row whose drift is reported as an absolute delta (a rate
-   is already normalised) *)
-let drift ~exact ~approx =
-  List.map2
-    (fun (name, e) (_, a) -> (name, e, a, rel_drift e a))
-    (to_assoc exact) (to_assoc approx)
-  @ [
-      (let e = l2_hit_rate exact and a = l2_hit_rate approx in
-       ("l2_hit_rate", e, a, Float.abs (a -. e)));
-    ]
-
-(* exact equality of everything the L2 split cannot touch: every counter
-   outside {bytes, l2_bytes}, and the bytes + l2_bytes total *)
-let l2_untouched_equal ~exact ~approx =
-  List.for_all2
-    (fun (name, x) (_, y) ->
-      match name with
-      | "bytes" | "l2_bytes" -> true
-      | _ -> Float.equal x y)
-    (to_assoc exact) (to_assoc approx)
-  && Float.equal (exact.bytes +. exact.l2_bytes) (approx.bytes +. approx.l2_bytes)
-
 let bytes_per_transaction s =
   if s.transactions <= 0. then 0.
   else (s.bytes +. s.l2_bytes) /. s.transactions

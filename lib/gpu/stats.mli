@@ -47,19 +47,6 @@ val l2_hit_rate : t -> float
 (** Fraction of global-memory bytes served by the L2 (0 when there is no
     traffic). *)
 
-val drift : exact:t -> approx:t -> (string * float * float * float) list
-(** Per-counter [(name, exact, approx, drift)] rows for the approximate-L2
-    validation harness, in {!to_assoc} order plus a final derived
-    [l2_hit_rate] row. Drift is relative ([|a - e| / |e|], 0 when equal,
-    [infinity] when only the exact side is zero) for the raw counters and
-    an absolute delta for the hit-rate row. *)
-
-val l2_untouched_equal : exact:t -> approx:t -> bool
-(** Whether everything the L2 split cannot touch agrees exactly: every
-    counter outside [bytes]/[l2_bytes], and the [bytes + l2_bytes] total
-    (total global traffic is transactions * transaction_bytes in either
-    L2 mode). The approximate mode must keep this true by construction. *)
-
 val bytes_per_transaction : t -> float
 (** Average bytes moved per coalesced transaction — 128 means perfectly
     coalesced on the K20c; approaching [transaction_bytes]/warp-size means

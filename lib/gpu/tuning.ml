@@ -55,26 +55,3 @@ let env name parse =
 let env_bool name = Option.value ~default:false (env name parse_bool)
 
 let shuffle_enabled = ref (env_bool "PPAT_SHUFFLE")
-
-(* ----- L2 pricing mode -----
-
-   [Exact] (the default) is the bit-identical contract: parallel workers
-   log transaction lines and the merge replays them through the shared
-   sliced L2 in serial block order, so every counter matches jobs = 1.
-   [Approx] is the opt-in fast path: parallel chunks price their global
-   accesses directly against the shared sliced tables under per-slice
-   mutexes — no provisional all-miss pricing, no log, no serial replay.
-   Only the DRAM/L2 traffic split can drift (bounded by the l2-validate
-   envelope), and only under eviction pressure, where the interleaving
-   of worker streams perturbs recency order; while the working set fits
-   the L2, hit/miss is set-membership and approx == exact bit for bit.
-   Serial runs (jobs = 1) never consult this knob: they always use the
-   shared table unlocked, so approx == exact there by construction. *)
-
-type l2_mode = L2_exact | L2_approx
-
-let parse_l2_mode =
-  parse_enum [ ([ "exact" ], L2_exact); ([ "approx"; "approximate" ], L2_approx) ]
-
-let l2_mode =
-  ref (Option.value ~default:L2_exact (env "PPAT_L2_MODE" parse_l2_mode))

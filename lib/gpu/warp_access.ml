@@ -23,26 +23,14 @@
    order — each log is replayed through the sliced L2 and the provisional
    bytes moved from DRAM to L2 for every hit. The replayed line stream is
    exactly the stream a serial run would have produced, so every counter,
-   L2 included, is bit-identical to [jobs = 1].
-
-   The opt-in approximate mode ([Locked], PPAT_L2_MODE=approx) makes the
-   opposite trade: workers price directly through the shared table under
-   per-slice mutexes, dropping the log and the serial replay pass, and
-   accepting that under eviction pressure the interleaving of worker
-   streams perturbs recency order — a bounded hit-rate drift gated by
-   the validation harness (bench --l2-validate). *)
+   L2 included, is bit-identical to [jobs = 1]. *)
 
 type kind = Global | Shared
 
 (* flat group stream: [site; n; line_0 .. line_{n-1}; site'; n'; ...] *)
 type l2_log = { mutable log_buf : int array; mutable log_len : int }
 
-(* [Locked] is the opt-in approximate fast path (Tuning.l2_mode): the
-   chunk prices globals directly against the shared sliced table under
-   per-slice mutexes — no log, no replay — trading bounded hit-rate
-   drift (tick-order interleaving under eviction pressure only) for
-   dropping the serial merge pass. See the module comment above. *)
-type sink = Direct | Log of l2_log | Locked
+type sink = Direct | Log of l2_log
 
 type t = {
   dev : Device.t;
@@ -237,16 +225,11 @@ let flush t =
         stats.Stats.mem_insts <- stats.Stats.mem_insts +. 1.;
         stats.Stats.transactions <- stats.Stats.transactions +. trans;
         (match t.sink with
-         | (Direct | Locked) as sink ->
+         | Direct ->
            let hits =
              float_of_int
-               (match sink with
-                | Locked ->
-                  Memory.cache_access_lines_locked t.mem
-                    ~cap_lines:t.cap_lines ~slices:t.slices buf nlines
-                | _ ->
-                  Memory.cache_access_lines t.mem ~cap_lines:t.cap_lines
-                    ~slices:t.slices buf nlines)
+               (Memory.cache_access_lines t.mem ~cap_lines:t.cap_lines
+                  ~slices:t.slices buf nlines)
            in
            stats.Stats.bytes <- stats.Stats.bytes +. ((trans -. hits) *. t.tb);
            stats.Stats.l2_bytes <- stats.Stats.l2_bytes +. (hits *. t.tb);

@@ -30,15 +30,6 @@ type sink =
           the real L2 in deterministic order. This is how parallel workers
           keep every counter bit-identical to a serial run without sharing
           (or locking) the L2 table. *)
-  | Locked
-      (** opt-in approximate mode ([Tuning.l2_mode]): price global slots
-          directly against the shared sliced table under per-slice
-          mutexes — no log, no replay at merge. Bit-identical to exact
-          mode while the working set fits the L2; under eviction
-          pressure the interleaving of worker streams perturbs recency
-          order, a bounded hit-rate drift gated by the l2-validate
-          envelope. The memory's tables must be allocated first from a
-          serial context ({!Memory.l2_prepare}). *)
 
 val new_log : unit -> l2_log
 
@@ -53,7 +44,7 @@ val release_log : l2_log -> unit
 
 val create : ?sink:sink -> ?attr:Site_stats.t -> Device.t -> Memory.t -> Stats.t -> t
 (** Scratch bound to one simulation run: constants derived from the
-    device, the L2 of [mem] (sharded into [Device.l2_slices] slices), and
+    device, the L2 of [mem] (split into [Device.l2_slices] slices), and
     the stats record to update. Not shareable across concurrent runs
     (domains create their own, with their own [Log] sink). [sink] defaults
     to [Direct]. When [attr] is given, every counter update is also

@@ -3198,62 +3198,10 @@ let execute ?(jobs = 1) ?attr dev (c : t) : Stats.t =
     done;
     stats
   end
-  else begin
-    (* a few chunks per worker so an expensive tail block does not leave
-       the other domains idle; chunk boundaries depend only on [jobs], so
-       the merged result is reproducible for a given jobs value. Linear
-       block ids walk the grid x-innermost, matching the serial nest. *)
-    let nchunks = min nblocks (jobs * 4) in
-    let approx = !Ppat_gpu.Tuning.l2_mode = Ppat_gpu.Tuning.L2_approx in
-    (* the Locked sink prices straight through the shared table; its lazy
-       slice allocation must happen before the workers race to it *)
-    if approx then Memory.l2_prepare c.c_mem ~slices:dev.Device.l2_slices;
-    let results =
-      Ppat_parallel.pool_run ~jobs nchunks (fun ci ->
-          Ppat_metrics.Metrics.span ~cat:"chunk" "sim chunk" (fun () ->
-              let sink, log =
-                if approx then (Warp_access.Locked, None)
-                else
-                  let log = Warp_access.acquire_log () in
-                  (Warp_access.Log log, Some log)
-              in
-              let wattr = Option.map Site_stats.create_like attr in
-              let stats, sf, si, slots = make_state ~sink ?attr:wattr () in
-              let lo = ci * nblocks / nchunks
-              and hi = (ci + 1) * nblocks / nchunks in
-              Ppat_metrics.Metrics.incr Engine_metrics.sim_chunks;
-              Ppat_metrics.Metrics.observe Engine_metrics.chunk_blocks
-                (float_of_int (hi - lo));
-              for b = lo to hi - 1 do
-                run_block (sf, si, slots) (b mod gx) (b / gx mod gy)
-                  (b / (gx * gy))
-              done;
-              (stats, wattr, log)))
-    in
-    (* merge in chunk order: counters are additive; in exact mode the L2
-       logs then replay in serial block order, so hit accounting matches
-       jobs = 1 exactly. Approx chunks carry no log — their hit split is
-       already final. *)
-    let stats = Stats.create () in
-    Array.iter (fun (s, _, _) -> Stats.add stats s) results;
-    (match attr with
-     | None -> ()
-     | Some a ->
-       Array.iter
-         (fun (_, w, _) -> Option.iter (Site_stats.add a) w)
-         results);
-    let lines = ref 0 in
-    Ppat_metrics.Metrics.span ~cat:"replay" "l2 replay" (fun () ->
-        Array.iter
-          (fun (_, _, lg) ->
-            match lg with
-            | None -> ()
-            | Some lg ->
-              lines :=
-                !lines + Warp_access.replay_log ?attr dev c.c_mem stats lg;
-              Warp_access.release_log lg)
-          results);
-    Ppat_metrics.Metrics.add Engine_metrics.replayed_l2_lines
-      (float_of_int !lines);
-    stats
-  end
+  else
+    Par_launch.run ~jobs ~nblocks ?attr dev c.c_mem
+      ~setup:(fun sink wattr ->
+        let stats, sf, si, slots = make_state ~sink ?attr:wattr () in
+        (stats, (sf, si, slots)))
+      ~run_block:(fun st b ->
+        run_block st (b mod gx) (b / gx mod gy) (b / (gx * gy)))

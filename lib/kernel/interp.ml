@@ -518,79 +518,29 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
     done;
     stats
   end
-  else begin
-    (* a few chunks per worker so an expensive tail block does not leave
-       the other domains idle; chunk boundaries depend only on [jobs], so
-       the merged result is reproducible for a given jobs value *)
-    let nchunks = min nblocks (jobs * 4) in
-    let approx = !Ppat_gpu.Tuning.l2_mode = Ppat_gpu.Tuning.L2_approx in
-    (* the Locked sink prices straight through the shared table; its lazy
-       slice allocation must happen before the workers race to it *)
-    if approx then Memory.l2_prepare mem ~slices:dev.Device.l2_slices;
-    let results =
-      Ppat_parallel.pool_run ~jobs nchunks (fun c ->
-          Ppat_metrics.Metrics.span ~cat:"chunk" "sim chunk" (fun () ->
-              let stats = Stats.create () in
-              let wattr = Option.map Site_stats.create_like attr in
-              let sink, log =
-                if approx then (Warp_access.Locked, None)
-                else
-                  let log = Warp_access.acquire_log () in
-                  (Warp_access.Log log, Some log)
-              in
-              let acc = Warp_access.create ~sink ?attr:wattr dev mem stats in
-              let lo = c * nblocks / nchunks
-              and hi = (c + 1) * nblocks / nchunks in
-              Ppat_metrics.Metrics.incr Engine_metrics.sim_chunks;
-              Ppat_metrics.Metrics.observe Engine_metrics.chunk_blocks
-                (float_of_int (hi - lo));
-              for b = lo to hi - 1 do
-                exec_block stats acc (bid_of b)
-              done;
-              (stats, wattr, log)))
-    in
-    (* merge in chunk order: counters (aggregate and per-site) are
-       additive; in exact mode the L2 logs then replay in serial block
-       order, so hit accounting matches jobs = 1 exactly. Approx chunks
-       carry no log — their hit split is already final. *)
-    let stats = Stats.create () in
-    Array.iter (fun (s, _, _) -> Stats.add stats s) results;
-    (match attr with
-     | None -> ()
-     | Some a ->
-       Array.iter
-         (fun (_, w, _) -> match w with Some w -> Site_stats.add a w | None -> ())
-         results);
-    let lines = ref 0 in
-    Ppat_metrics.Metrics.span ~cat:"replay" "l2 replay" (fun () ->
-        Array.iter
-          (fun (_, _, lg) ->
-            match lg with
-            | None -> ()
-            | Some lg ->
-              lines := !lines + Warp_access.replay_log ?attr dev mem stats lg;
-              Warp_access.release_log lg)
-          results);
-    Ppat_metrics.Metrics.add Engine_metrics.replayed_l2_lines
-      (float_of_int !lines);
-    stats
-  end
+  else
+    Par_launch.run ~jobs ~nblocks ?attr dev mem
+      ~setup:(fun sink wattr ->
+        let stats = Stats.create () in
+        (stats, (stats, Warp_access.create ~sink ?attr:wattr dev mem stats)))
+      ~run_block:(fun (stats, acc) b -> exec_block stats acc (bid_of b))
 
 (* ----- engine selection ----- *)
 
 type engine = Reference | Compiled
 
+let engine_of_string ~name =
+  Ppat_gpu.Tuning.parse_enum ~name
+    [
+      ([ "compiled"; "closure" ], Compiled);
+      ([ "reference"; "ref"; "interp" ], Reference);
+    ]
+
+let engine_name = function Compiled -> "compiled" | Reference -> "reference"
+
 let default_engine () =
-  match
-    Ppat_gpu.Tuning.env "PPAT_ENGINE"
-      (Ppat_gpu.Tuning.parse_enum
-         [
-           ([ "compiled"; "closure" ], Compiled);
-           ([ "reference"; "ref"; "interp" ], Reference);
-         ])
-  with
-  | Some e -> e
-  | None -> Compiled
+  Option.value ~default:Compiled
+    (Ppat_gpu.Tuning.env "PPAT_ENGINE" engine_of_string)
 
 let fallbacks = ref 0
 let last_fallback : string option ref = ref None

@@ -32,6 +32,14 @@ type engine =
     (** the closure-compiling engine in {!Compile}; falls back to
         [Reference] per launch when compilation is rejected *)
 
+val engine_of_string : name:string -> string -> (engine, string) result
+(** Parse an engine name: ["compiled"] (or ["closure"]) and ["reference"]
+    (or ["ref"] / ["interp"]). The error names [name] — the flag, field
+    or variable the value came from — and the accepted values. *)
+
+val engine_name : engine -> string
+(** The canonical name, ["compiled"] or ["reference"]. *)
+
 val default_engine : unit -> engine
 (** [Compiled], unless the [PPAT_ENGINE] environment variable is set to
     ["reference"] (or ["ref"] / ["interp"]); ["compiled"] / ["closure"]

@@ -1,4 +1,4 @@
-(* Process-wide metrics registry, sharded per domain.
+(* Process-wide metrics registry, split into per-domain shards.
 
    Counters and histograms live in fixed-size per-shard float arrays; the
    hot path is a single array store with no allocation and no locking.

@@ -1,4 +1,4 @@
-(** Process-wide metrics registry, sharded per domain.
+(** Process-wide metrics registry, split into per-domain shards.
 
     Instruments (counters, histograms) are created once by name + label
     set and held by the caller; updates are single unlocked array stores

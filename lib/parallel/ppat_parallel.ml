@@ -123,16 +123,6 @@ let shutdown pool =
 let global : pool option ref = ref None
 let global_lock = Mutex.create ()
 
-(* whether worker domains have been spawned. Unix.fork is only safe while
-   the process is single-domain (a forked child would wait forever on
-   stop-the-world handshakes with domains whose threads did not survive
-   the fork), so the shard layer refuses to fork once this is true. *)
-let pool_started () =
-  Mutex.lock global_lock;
-  let r = !global <> None in
-  Mutex.unlock global_lock;
-  r
-
 (* Grow the pool IN PLACE when a wider batch arrives. Tearing the old pool
    down first (shutdown + Domain.join) deadlocks under nesting: the joined
    worker may be executing the very task that asked for the wider pool —

@@ -13,12 +13,6 @@ val default_jobs : unit -> int
 (** One worker per available core ([Domain.recommended_domain_count]),
     clamped to [max_jobs]. *)
 
-val pool_started : unit -> bool
-(** Whether the process-wide pool has spawned worker domains. The shard
-    layer checks this before [Unix.fork]: forking a multi-domain OCaml
-    process is unsafe (the child would hang on its first stop-the-world
-    section waiting for domains whose threads the fork discarded). *)
-
 val pool_run : jobs:int -> int -> (int -> 'a) -> 'a array
 (** [pool_run ~jobs n task] runs [task 0 .. task (n-1)] on at most [jobs]
     domains (the calling domain included) and returns the results by index.

@@ -1,5 +1,5 @@
 (* Profile-layer surface over the process-wide metrics registry: the
-   sharded instruments live in Ppat_metrics (zero repo dependencies, so
+   per-domain instruments live in Ppat_metrics (zero repo dependencies, so
    every layer can bump them); rendering them as JSON and console text
    belongs here, next to the other exporters. *)
 

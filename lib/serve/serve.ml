@@ -72,7 +72,6 @@ type req = {
   rq_params : (string * int) list;
   rq_strategy : Strategy.t;
   rq_engine : Interp.engine;
-  rq_engine_tag : string;
   rq_model : Cost_model.kind;
   rq_sim_jobs : int;
   rq_profile : bool;
@@ -85,17 +84,9 @@ exception Bad_request of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Bad_request s)) fmt
 
-let strategy_of_string = function
-  | "auto" | "multidim" -> Strategy.Auto
-  | "1d" | "one_d" -> Strategy.One_d
-  | "tbt" | "thread_block" -> Strategy.Thread_block_thread
-  | "warp" | "warp_based" -> Strategy.Warp_based
-  | s -> fail "unknown strategy %S (auto|1d|tbt|warp)" s
-
-let engine_of_string = function
-  | "compiled" | "closure" -> (Interp.Compiled, "compiled")
-  | "reference" | "ref" | "interp" -> (Interp.Reference, "reference")
-  | s -> fail "unknown engine %S (compiled|reference)" s
+(* a bad enum value becomes a named request error *)
+let parse_field parse name v =
+  match parse ~name v with Ok x -> x | Error e -> fail "%s" e
 
 let str_field ?default j name =
   match Jsonx.member name j with
@@ -127,8 +118,9 @@ let params_field j =
   | Some _ -> fail "field \"params\" must be an object of integers"
 
 let req_of_json j =
-  let rq_engine, rq_engine_tag =
-    engine_of_string (str_field ~default:"compiled" j "engine")
+  let rq_engine =
+    parse_field Interp.engine_of_string "engine"
+      (str_field ~default:"compiled" j "engine")
   in
   let rq_model =
     let s = str_field ~default:(Cost_model.name (Cost_model.default ())) j
@@ -148,9 +140,10 @@ let req_of_json j =
     rq_id = Option.value (Jsonx.member "id" j) ~default:Jsonx.Null;
     rq_app = str_field j "app";
     rq_params = params_field j;
-    rq_strategy = strategy_of_string (str_field ~default:"auto" j "strategy");
+    rq_strategy =
+      parse_field Strategy.of_string "strategy"
+        (str_field ~default:"auto" j "strategy");
     rq_engine;
-    rq_engine_tag;
     rq_model;
     rq_sim_jobs;
     rq_profile = bool_field j "profile";
@@ -227,7 +220,7 @@ let plan_key t (rq : req) prog resolved =
          t.device.Ppat_gpu.Device.dname;
          Strategy.name rq.rq_strategy;
          Cost_model.name rq.rq_model;
-         rq.rq_engine_tag;
+         Interp.engine_name rq.rq_engine;
        ])
 
 let execute t (rq : req) (app : A.App.t) data =
@@ -611,7 +604,7 @@ let serve_stdin ?jobs t =
    with End_of_file -> ());
   Stdlib.flush Stdlib.stdout
 
-let serve_socket ?jobs ?(workers = 1) t path =
+let serve_socket ?jobs t path =
   let jobs = default_jobs jobs in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -622,63 +615,28 @@ let serve_socket ?jobs ?(workers = 1) t path =
   Fun.protect ~finally:cleanup (fun () ->
       Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock 8;
-      (* the per-process accept loop: connections one at a time, each with
-         the stdin line protocol; a shutdown op ends the loop *)
-      let accept_loop () =
-        let stop = ref false in
-        while not !stop do
-          let fd, _ = Unix.accept sock in
-          let ic = Unix.in_channel_of_descr fd in
-          let oc = Unix.out_channel_of_descr fd in
-          (try
-             let eof = ref false in
-             while not (!eof || !stop) do
-               match input_line ic with
-               | line ->
-                 let r, s = handle_line' t ~jobs line in
-                 (match r with
-                 | Some r ->
-                   output_string oc (Jsonx.to_string ~minify:true r);
-                   output_char oc '\n';
-                   Stdlib.flush oc
-                 | None -> ());
-                 if s then stop := true
-               | exception End_of_file -> eof := true
-             done
-           with Sys_error _ -> ());
-          try Unix.close fd with Unix.Unix_error _ -> ()
-        done
-      in
-      if workers <= 1 then accept_loop ()
-      else begin
-        (* pre-fork: [workers] processes share the listening socket and
-           the kernel load-balances accepts across them. Forking must
-           happen while this process is still single-domain — a child
-           forked after the worker-domain pool exists would hang at its
-           first GC waiting on domains the fork discarded. Each child
-           carries its own copy-on-write caches (no cross-worker
-           sharing) and builds its own domain pool on demand. *)
-        if Ppat_parallel.pool_started () then
-          failwith
-            "serve: cannot fork socket workers after the worker-domain \
-             pool has started";
-        let pids =
-          Array.init workers (fun _ ->
-              match Unix.fork () with
-              | 0 ->
-                (try accept_loop () with _ -> ());
-                Unix._exit 0
-              | pid -> pid)
-        in
-        (* the first worker to exit (a shutdown op, or a crash) ends the
-           service: terminate the siblings and reap everyone *)
-        (try ignore (Unix.wait ()) with Unix.Unix_error _ -> ());
-        Array.iter
-          (fun pid ->
-            try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-          pids;
-        Array.iter
-          (fun pid ->
-            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-          pids
-      end)
+      (* connections one at a time, each with the stdin line protocol; a
+         shutdown op ends the loop *)
+      let stop = ref false in
+      while not !stop do
+        let fd, _ = Unix.accept sock in
+        let ic = Unix.in_channel_of_descr fd in
+        let oc = Unix.out_channel_of_descr fd in
+        (try
+           let eof = ref false in
+           while not (!eof || !stop) do
+             match input_line ic with
+             | line ->
+               let r, s = handle_line' t ~jobs line in
+               (match r with
+               | Some r ->
+                 output_string oc (Jsonx.to_string ~minify:true r);
+                 output_char oc '\n';
+                 Stdlib.flush oc
+               | None -> ());
+               if s then stop := true
+             | exception End_of_file -> eof := true
+           done
+         with Sys_error _ -> ());
+        try Unix.close fd with Unix.Unix_error _ -> ()
+      done)

@@ -79,18 +79,8 @@ val serve_stdin : ?jobs:int -> t -> unit
     ["shutdown"] op. Responses are flushed after every line so the
     server can sit behind a pipe. *)
 
-val serve_socket : ?jobs:int -> ?workers:int -> t -> string -> unit
+val serve_socket : ?jobs:int -> t -> string -> unit
 (** Listen on a Unix domain socket at the given path (unlinked first if
     it already exists, removed on exit) and serve connections one at a
     time, each with the same line protocol as stdin mode. A ["shutdown"]
-    op ends the accept loop.
-
-    [workers > 1] pre-forks that many accept-loop processes sharing the
-    listening socket; the kernel load-balances connections across them.
-    Each worker process carries its own copy of the caches (no
-    cross-worker sharing) and its own domain pool, so per-request
-    answers stay bit-identical to a single-worker server — only cache
-    hit rates depend on which worker a connection lands on. The first
-    worker to exit (a ["shutdown"] op) ends the whole service. Forking
-    happens before any domain pool exists; calling this with
-    [workers > 1] after {!Ppat_parallel} has started its pool raises. *)
+    op ends the accept loop. *)

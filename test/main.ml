@@ -30,5 +30,4 @@ let () =
       ("serve", Test_serve.tests);
       ("race", Test_race.tests);
       ("sweep", Test_sweep.tests);
-      ("shard", Test_shard.tests);
     ]

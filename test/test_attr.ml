@@ -2,7 +2,7 @@
    engine- and jobs-invariant, its column totals must equal the aggregate
    Stats.t counters bit for bit, and nothing may leak into the overflow
    row on code the annotator claims to understand. Also unit-tests the
-   sharded metrics registry the engines report into. *)
+   per-domain metrics registry the engines report into. *)
 module Kir = Ppat_kernel.Kir
 module Site = Ppat_kernel.Site
 module Interp = Ppat_kernel.Interp
@@ -197,7 +197,7 @@ let test_registry_counters () =
 
 let test_registry_sharding () =
   Metrics.reset ();
-  let c = Metrics.counter "t.reg.sharded" in
+  let c = Metrics.counter "t.reg.per_domain" in
   let domains =
     Array.init 4 (fun _ ->
         Domain.spawn (fun () ->

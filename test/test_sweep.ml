@@ -1,8 +1,9 @@
 (* The batched mapping-space evaluator: per-candidate bit-identity against
    the one-at-a-time path (both engines, serial and parallel simulation),
    the stage-once-per-shape metrics contract, the calibration loop's
-   monotonicity, the pure Sweep helpers, the Jsonx non-finite guard and
-   the fail-fast PPAT_* environment parsing. *)
+   monotonicity, the pure Sweep helpers, the Jsonx non-finite guard, the
+   fail-fast PPAT_* environment parsing and the strategy / engine value
+   parsers the CLI, the service and the bench share. *)
 open Ppat_ir
 module Runner = Ppat_harness.Runner
 module Sweep = Ppat_core.Sweep
@@ -392,6 +393,48 @@ let test_env_parsers () =
       (Astring_like.contains e "compiled|reference")
   | Ok _ -> Alcotest.fail "'fast' accepted as an engine"
 
+(* one parser per enum, shared by `ppat`, `ppat serve` and the bench: every
+   alias resolves, and a bad value is an [Error] naming the flag (or
+   field) it came from and the accepted values — never an exception *)
+let test_value_parsers () =
+  let module S = Ppat_core.Strategy in
+  let module I = Ppat_kernel.Interp in
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check bool) ("strategy " ^ s) true
+        (S.of_string ~name:"-s" s = Ok want))
+    [
+      ("auto", S.Auto); ("multidim", S.Auto); ("1d", S.One_d);
+      ("one_d", S.One_d); ("tbt", S.Thread_block_thread);
+      ("thread_block", S.Thread_block_thread); ("warp", S.Warp_based);
+      ("warp_based", S.Warp_based);
+    ];
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check bool) ("engine " ^ s) true
+        (I.engine_of_string ~name:"--engine" s = Ok want))
+    [
+      ("compiled", I.Compiled); ("closure", I.Compiled);
+      ("reference", I.Reference); ("ref", I.Reference);
+      ("interp", I.Reference);
+    ];
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) "engine name round-trips" true
+        (I.engine_of_string ~name:"e" (I.engine_name e) = Ok e))
+    [ I.Compiled; I.Reference ];
+  let rejects what name accepted = function
+    | Ok _ -> Alcotest.failf "%s: bogus value accepted" what
+    | Error e ->
+      Alcotest.(check bool) (what ^ " error names the flag") true
+        (Astring_like.contains e name);
+      Alcotest.(check bool) (what ^ " error lists accepted values") true
+        (Astring_like.contains e accepted)
+  in
+  rejects "strategy" "-s" "auto|1d|tbt|warp" (S.of_string ~name:"-s" "bogus");
+  rejects "engine" "--engine" "compiled|reference"
+    (I.engine_of_string ~name:"--engine" "bogus")
+
 (* setting then restoring the variable: the suite may itself run under
    PPAT_SIM_JOBS (the parallel CI lane), so the previous value — or the
    default-equivalent when it was unset — is always put back *)
@@ -443,5 +486,7 @@ let tests =
     Alcotest.test_case "regret and mare" `Quick test_regret_mare;
     Alcotest.test_case "jsonx non-finite guard" `Quick test_jsonx_nonfinite;
     Alcotest.test_case "env parsers" `Quick test_env_parsers;
+    Alcotest.test_case "strategy and engine parsers" `Quick
+      test_value_parsers;
     Alcotest.test_case "env fail-fast" `Quick test_env_fail_fast;
   ]
