@@ -28,8 +28,8 @@ engines: build
 
 # one cheap end-to-end bench invocation per engine (no JSON, tiny subset is
 # not supported, so reuse the profile path which runs a real simulation),
-# then every malformed flag value must fail as a named usage error (exit 2),
-# never as an uncaught exception
+# then every malformed flag value, unknown figure or unwritable output path
+# must fail as a named usage error (exit 2), never as an uncaught exception
 bench-smoke: build
 	dune exec bin/ppat.exe -- run sum_rows --engine compiled > /dev/null
 	dune exec bin/ppat.exe -- run sum_rows --engine reference > /dev/null
@@ -37,6 +37,11 @@ bench-smoke: build
 	    "bin/ppat.exe -- run sum_rows --engine bogus" \
 	    "bin/ppat.exe -- run sum_rows --cost-model bogus" \
 	    "bin/ppat.exe -- run sum_rows --sim-jobs x" \
+	    "bin/ppat.exe -- figures fig99" \
+	    "bin/ppat.exe -- profile sum_rows --json /nonexistent/x.json" \
+	    "bin/ppat.exe -- profile sum_rows --chrome-trace /nonexistent/x.json" \
+	    "bin/ppat.exe -- report sum_rows --json /nonexistent/x.json" \
+	    "bin/ppat.exe -- trace-search sum_rows --json /nonexistent/x.json" \
 	    "bench/main.exe -- --sim-jobs x"; do \
 	  dune exec $$args > /dev/null 2> /tmp/ppat_usage_err.txt; code=$$?; \
 	  if [ $$code -ne 2 ] || grep -q "Fatal error" /tmp/ppat_usage_err.txt; then \
@@ -44,7 +49,7 @@ bench-smoke: build
 	    cat /tmp/ppat_usage_err.txt; exit 1; \
 	  fi; \
 	done
-	@echo "bench-smoke: both engines validate sum_rows; bad flag values exit 2"
+	@echo "bench-smoke: both engines validate sum_rows; bad flag values, figures and paths exit 2"
 
 # tier-1 under both cost-model defaults (mapping-specific assertions pin
 # Soft explicitly, everything else must hold under any model), plus a

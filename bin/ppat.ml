@@ -32,6 +32,20 @@ let usage_error msg =
 let or_usage = function Ok v -> v | Error e -> usage_error e
 let pos_int flag n = or_usage (Ppat_gpu.Tuning.parse_pos_int ~name:flag n)
 
+(* an output-file flag must name a writable file. Checked before the run
+   (a probe file is created and removed again), so a bad path neither
+   costs a whole simulation nor escapes as an uncaught Sys_error *)
+let output_file flag f =
+  (try
+     if Sys.file_exists f then
+       close_out (open_out_gen [ Open_wronly; Open_append ] 0o644 f)
+     else begin
+       close_out (open_out_gen [ Open_wronly; Open_creat; Open_excl ] 0o644 f);
+       Sys.remove f
+     end
+   with Sys_error e -> usage_error (Printf.sprintf "%s: cannot write %s" flag e));
+  f
+
 let find_app name =
   match List.assoc_opt name registry with
   | Some mk -> mk ()
@@ -816,12 +830,15 @@ let cmd_racecheck rest =
 let cmd_figures names =
   let all = A.Experiments.all dev in
   let selected = if names = [] then List.map fst all else names in
+  (* every name is checked before any figure runs *)
   List.iter
     (fun name ->
-      match List.assoc_opt name all with
-      | Some f -> f ()
-      | None -> Format.eprintf "unknown figure %S@." name)
-    selected
+      if not (List.mem_assoc name all) then
+        usage_error
+          (Printf.sprintf "figures: unknown figure %S (known: %s)" name
+             (String.concat ", " (List.map fst all))))
+    selected;
+  List.iter (fun name -> (List.assoc name all) ()) selected
 
 (* ppat serve [--jobs N] [--socket PATH] [--plan-cache N] [--memo-cache N]
    — the persistent mapping service: line-delimited JSON requests on
@@ -951,10 +968,10 @@ let parse_flags rest =
           (Result.map_error (( ^ ) "--cost-model: ") (Cost_model.of_string m));
       go rest
     | "--json" :: f :: rest ->
-      json := Some f;
+      json := Some (output_file "--json" f);
       go rest
     | "--chrome-trace" :: f :: rest ->
-      chrome := Some f;
+      chrome := Some (output_file "--chrome-trace" f);
       go rest
     | "--sim-jobs" :: n :: rest ->
       sim_jobs := min (pos_int "--sim-jobs" n) Ppat_parallel.max_jobs;

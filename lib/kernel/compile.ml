@@ -16,15 +16,19 @@
    - bake launch geometry and kernel parameters in as constants;
    - precompute the per-statement instruction counts, so the run-time
      engine bumps [warp_insts] once per warp statement instead of once per
-     AST node.
+     AST node;
+   - stage every statement node-major: each expression node becomes one
+     closure that evaluates all active lanes of the warp in a tight
+     unboxed loop (see "node-major statement engine" below).
 
    Statistics are bit-identical with the reference engine: both issue the
    same counter updates in the same order, and both price memory accesses
    through the shared [Warp_access] scratch. Anything the static analysis
    cannot prove faithful — mixed-type arithmetic, possibly-undefined
-   register reads, unbound names — makes [compile] return [Error], and the
-   driver falls back to the reference tree-walker, which reproduces the
-   exact dynamic trap semantics. *)
+   register reads, unbound names, warp-primitive operands that read
+   memory — makes [compile] return [Error], and the driver runs that
+   launch on the reference tree-walker, which reproduces the exact
+   dynamic trap semantics. *)
 
 open Ppat_gpu
 
@@ -61,13 +65,6 @@ type ctx = {
       (* site attribution enabled for this run. Checked inline in the
          divergence hot path so unattributed runs pay one load+branch,
          not a cross-module call, per divergent branch. *)
-  facc : float array;
-      (* one-element float-expression result slot. A flat float array is
-         the only unboxed mutable float cell available in a mixed record
-         (a [mutable float] field here would re-box on every store), and
-         passing results through it instead of returning them avoids the
-         box that every (non-inlined) float-returning closure call would
-         otherwise allocate *)
   acc : Warp_access.t;
   stats : Stats.t;
   sf : float array array;  (* shared float arrays of the block, by slot *)
@@ -84,13 +81,6 @@ type ctx = {
   vf_const : float array;
 }
 
-type iexp = ctx -> int -> int
-
-type fexp = ctx -> int -> unit
-(* leaves its result in [(Array.unsafe_get ctx.facc 0)]; see the field comment *)
-
-type bexp = ctx -> int -> bool
-type texp = I of iexp | F of fexp | B of bexp
 type cstmt = ctx -> int -> unit
 
 (* Operand of a node-major vector node: one row of [warp_size] lanes.
@@ -103,10 +93,6 @@ type vfsrc = VFs of int | VFr of int | VFc of int
 type vtexp = VI of visrc | VF of vfsrc | VB of visrc
 
 type vnode = ctx -> int -> unit
-
-(* a statement the vector engine declines (aliasing store, unsupported
-   form); the already-compiled scalar statement is used instead *)
-exception Unvectorizable
 
 (* per-launch vector-compilation state: constant rows are deduplicated
    across the whole kernel, temp-slab sizing is the max over statements *)
@@ -130,6 +116,9 @@ type vstate = {
   mutable nf : int;
   mutable rev_kinds : Warp_access.kind list;  (* memory slots, reversed *)
   mutable nmem : int;
+  watch : (Warp_access.kind * string) option;
+      (* the array the statement writes, when its operands also load it *)
+  mutable watched_rows : visrc list;  (* index rows of those loads *)
 }
 
 type ty = TI | TF | TB
@@ -221,7 +210,7 @@ let rec shfl_nodes (e : Kir.exp) =
    Fixpoint over all assignments: a register's type is the type of every
    expression assigned to it; conflicts (or arithmetic the reference
    engine would trap on) abort compilation. Optimistic propagation is safe
-   because compile_exp re-checks every operand strictly afterwards. *)
+   because vcompile_exp re-checks every operand strictly afterwards. *)
 
 let buf_ty (e : Memory.entry) =
   match e.Memory.data with Ppat_ir.Host.F _ -> TF | Ppat_ir.Host.I _ -> TI
@@ -232,6 +221,11 @@ let smem_ty (d : Kir.smem_decl) =
 let find_entry env name =
   if Memory.mem env.mem name then Memory.find env.mem name
   else fallback "unbound buffer %S" name
+
+let smem_ref env name =
+  match List.assoc_opt name env.smem_env with
+  | Some r -> r
+  | None -> fallback "undeclared shared array %S" name
 
 let infer_types env =
   let rt : ty option array = Array.make env.k.Kir.nregs None in
@@ -306,7 +300,7 @@ let infer_types env =
     | Load_s (name, _) -> sdecl_ty name
     | Shfl_down (v, _) | Shfl_xor (v, _) | Shfl_idx (v, _) ->
       (* the shuffled value keeps its type; the lane selector is checked
-         strictly by compile_exp *)
+         strictly by vcompile_exp *)
       ety v
     | Ballot _ -> Some TI
     | Any _ | All _ -> Some TB
@@ -551,478 +545,6 @@ let rec cfold env (e : Kir.exp) : cval option =
     | Some (CI cv), Some av, Some bv -> Some (if cv <> 0 then av else bv)
     | _ -> None)
 
-(* ----- expression compilation ----- *)
-
-let const_texp = function
-  | CI n -> I (fun _ _ -> n)
-  | CF x -> F (fun c _ -> Array.unsafe_set c.facc 0 (x))
-  | CB b -> B (fun _ _ -> b)
-
-(* the loose coercions of the reference engine's [as_int]/[as_bool] *)
-let as_iexp = function
-  | I f -> f
-  | B f -> fun c l -> if f c l then 1 else 0
-  | F _ -> fallback "expected an integer, got a float"
-
-let as_bexp = function
-  | B f -> f
-  | I f -> fun c l -> f c l <> 0
-  | F _ -> fallback "expected a boolean, got a float"
-
-let as_fexp = function
-  | F f -> f
-  | I _ | B _ -> fallback "expected a float"
-
-let strict_b = function
-  | B f -> f
-  | I _ | F _ -> fallback "logical op on non-boolean"
-
-let strict_i = function
-  | I f -> f
-  | B _ | F _ -> fallback "integer expression expected"
-
-let strict_f = function
-  | F f -> f
-  | B _ | I _ -> fallback "float expression expected"
-
-(* Operand evaluation order is observable through the access recorder
-   (slot order feeds the L2 in sequence), so the closures must replay the
-   reference engine exactly: Bin/Cmp pass both operands as function
-   arguments there, which OCaml evaluates right to left, so the right
-   operand's loads record first; Select and the memory ops use explicit
-   lets and evaluate left to right. *)
-let rec compile_exp env (e : Kir.exp) : texp =
-  match cfold env e with
-  | Some c -> const_texp c
-  | None -> (
-    match e with
-    | Kir.Int n -> I (fun _ _ -> n)
-    | Kir.Float x -> F (fun c _ -> Array.unsafe_set c.facc 0 (x))
-    | Kir.Bool b -> B (fun _ _ -> b)
-    | Kir.Reg r -> (
-      let base = r * env.ws in
-      match env.rt.(r) with
-      | TI -> I (fun c l -> Array.unsafe_get c.ireg (base + l))
-      | TF -> F (fun c l -> Array.unsafe_set c.facc 0 (Array.unsafe_get c.freg (base + l)))
-      | TB -> B (fun c l -> Array.unsafe_get c.ireg (base + l) <> 0))
-    | Kir.Tid d -> (
-      match d with
-      | Kir.X -> I (fun c l -> Array.unsafe_get c.tidx l)
-      | Kir.Y -> I (fun c l -> Array.unsafe_get c.tidy l)
-      | Kir.Z -> I (fun c l -> Array.unsafe_get c.tidz l))
-    | Kir.Bid d -> (
-      match d with
-      | Kir.X -> I (fun c _ -> c.bidx)
-      | Kir.Y -> I (fun c _ -> c.bidy)
-      | Kir.Z -> I (fun c _ -> c.bidz))
-    | Kir.Bdim _ | Kir.Gdim _ | Kir.Param _ ->
-      (* cfold always resolves these *)
-      assert false
-    | Kir.Bin (op, a, b) -> (
-      let ta = compile_exp env a in
-      let tb = compile_exp env b in
-      let open Ppat_ir.Exp in
-      match op with
-      | And ->
-        let fa = strict_b ta and fb = strict_b tb in
-        B
-          (fun c l ->
-            let y = fb c l in
-            let x = fa c l in
-            x && y)
-      | Or ->
-        let fa = strict_b ta and fb = strict_b tb in
-        B
-          (fun c l ->
-            let y = fb c l in
-            let x = fa c l in
-            x || y)
-      | Add | Sub | Mul | Div | Mod | Min | Max -> (
-        match (ta, tb) with
-        | I fa, I fb ->
-          I
-            (match op with
-             | Add ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 x + y
-             | Sub ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 x - y
-             | Mul ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 x * y
-             | Div ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 if y = 0 then trap "division by zero" else x / y
-             | Mod ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 if y = 0 then trap "modulo by zero" else x mod y
-             | Min ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 if x <= y then x else y
-             | Max ->
-               fun c l ->
-                 let y = fb c l in
-                 let x = fa c l in
-                 if x >= y then x else y
-             | And | Or -> assert false)
-        | F fa, F fb ->
-          (* right operand first, like the reference; its result is saved
-             in an (unboxed) local while the left runs *)
-          F
-            (match op with
-             | Add ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 ((Array.unsafe_get c.facc 0) +. y)
-             | Sub ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 ((Array.unsafe_get c.facc 0) -. y)
-             | Mul ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 ((Array.unsafe_get c.facc 0) *. y)
-             | Div ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 ((Array.unsafe_get c.facc 0) /. y)
-             | Min ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 (Float.min (Array.unsafe_get c.facc 0) y)
-             | Max ->
-               fun c l ->
-                 fb c l;
-                 let y = (Array.unsafe_get c.facc 0) in
-                 fa c l;
-                 Array.unsafe_set c.facc 0 (Float.max (Array.unsafe_get c.facc 0) y)
-             | Mod | And | Or -> fallback "mod on floats")
-        | _ -> fallback "mixed-type arithmetic"))
-    | Kir.Un (op, a) -> (
-      let ta = compile_exp env a in
-      let open Ppat_ir.Exp in
-      match (op, ta) with
-      | Neg, I f -> I (fun c l -> -f c l)
-      | Neg, F f ->
-        F
-          (fun c l ->
-            f c l;
-            Array.unsafe_set c.facc 0 (-.(Array.unsafe_get c.facc 0)))
-      | Not, B f -> B (fun c l -> not (f c l))
-      | Sqrt, F f ->
-        F
-          (fun c l ->
-            f c l;
-            Array.unsafe_set c.facc 0 (Float.sqrt (Array.unsafe_get c.facc 0)))
-      | Exp_, F f ->
-        F
-          (fun c l ->
-            f c l;
-            Array.unsafe_set c.facc 0 (Float.exp (Array.unsafe_get c.facc 0)))
-      | Log_, F f ->
-        F
-          (fun c l ->
-            f c l;
-            Array.unsafe_set c.facc 0 (Float.log (Array.unsafe_get c.facc 0)))
-      | Abs, F f ->
-        F
-          (fun c l ->
-            f c l;
-            Array.unsafe_set c.facc 0 (Float.abs (Array.unsafe_get c.facc 0)))
-      | Abs, I f -> I (fun c l -> abs (f c l))
-      | I2f, I f -> F (fun c l -> Array.unsafe_set c.facc 0 (float_of_int (f c l)))
-      | F2i, F f ->
-        I
-          (fun c l ->
-            f c l;
-            int_of_float (Array.unsafe_get c.facc 0))
-      | (Neg | Not | Sqrt | Exp_ | Log_ | Abs | I2f | F2i), _ ->
-        fallback "unop operand type mismatch")
-    | Kir.Cmp (op, a, b) -> (
-      let ta = compile_exp env a in
-      let tb = compile_exp env b in
-      let open Ppat_ir.Exp in
-      match (ta, tb) with
-      | I fa, I fb ->
-        B
-          (match op with
-           | Eq ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x = y
-           | Ne ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x <> y
-           | Lt ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x < y
-           | Le ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x <= y
-           | Gt ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x > y
-           | Ge ->
-             fun c l ->
-               let y = fb c l in
-               let x = fa c l in
-               x >= y)
-      | F fa, F fb ->
-        (* Float.compare, not IEEE operators: the reference engine's
-           polymorphic compare totally orders NaN, and Eq on two NaNs is
-           true there *)
-        B
-          (match op with
-           | Eq ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y = 0
-           | Ne ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y <> 0
-           | Lt ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y < 0
-           | Le ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y <= 0
-           | Gt ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y > 0
-           | Ge ->
-             fun c l ->
-               fb c l;
-               let y = (Array.unsafe_get c.facc 0) in
-               fa c l;
-               Float.compare (Array.unsafe_get c.facc 0) y >= 0)
-      | B fa, B fb ->
-        B
-          (fun c l ->
-            let y = fb c l in
-            let x = fa c l in
-            let cv = Bool.compare x y in
-            match op with
-            | Eq -> cv = 0
-            | Ne -> cv <> 0
-            | Lt -> cv < 0
-            | Le -> cv <= 0
-            | Gt -> cv > 0
-            | Ge -> cv >= 0)
-      | _ -> fallback "mixed-type comparison")
-    | Kir.Select (c0, a, b) -> (
-      let fc = as_bexp (compile_exp env c0) in
-      let ta = compile_exp env a in
-      let tb = compile_exp env b in
-      (* both branches always evaluate, like the reference engine *)
-      match (ta, tb) with
-      | I fa, I fb ->
-        I
-          (fun c l ->
-            let cv = fc c l in
-            let av = fa c l in
-            let bv = fb c l in
-            if cv then av else bv)
-      | F fa, F fb ->
-        F
-          (fun c l ->
-            let cv = fc c l in
-            fa c l;
-            let av = (Array.unsafe_get c.facc 0) in
-            fb c l;
-            (* facc currently holds the else-branch value *)
-            if cv then Array.unsafe_set c.facc 0 (av))
-      | B fa, B fb ->
-        B
-          (fun c l ->
-            let cv = fc c l in
-            let av = fa c l in
-            let bv = fb c l in
-            if cv then av else bv)
-      | _ -> fallback "mixed-type select")
-    | Kir.Load_g (name, i) -> (
-      let entry = find_entry env name in
-      let fi = as_iexp (compile_exp env i) in
-      let base = entry.Memory.base and eb = entry.Memory.elem_bytes in
-      match entry.Memory.data with
-      | Ppat_ir.Host.F a ->
-        let len = Array.length a in
-        F
-          (fun c l ->
-            let ix = fi c l in
-            Warp_access.record_global c.acc (base + (ix * eb));
-            if ix < 0 || ix >= len then
-              trap "load out of bounds: %s[%d] (len %d)" name ix len;
-            Array.unsafe_set c.facc 0 (Array.unsafe_get a ix))
-      | Ppat_ir.Host.I a ->
-        let len = Array.length a in
-        I
-          (fun c l ->
-            let ix = fi c l in
-            Warp_access.record_global c.acc (base + (ix * eb));
-            if ix < 0 || ix >= len then
-              trap "load out of bounds: %s[%d] (len %d)" name ix len;
-            Array.unsafe_get a ix))
-    | Kir.Load_s (name, i) -> (
-      let fi = as_iexp (compile_exp env i) in
-      match List.assoc_opt name env.smem_env with
-      | None -> fallback "undeclared shared array %S" name
-      | Some (Sf (slot, len)) ->
-        F
-          (fun c l ->
-            let ix = fi c l in
-            Warp_access.record_shared c.acc ix;
-            if ix < 0 || ix >= len then
-              trap "shared load out of bounds: %s[%d]" name ix;
-            Array.unsafe_set c.facc 0 (Array.unsafe_get (Array.unsafe_get c.sf slot) ix))
-      | Some (Si (slot, len)) ->
-        I
-          (fun c l ->
-            let ix = fi c l in
-            Warp_access.record_shared c.acc ix;
-            if ix < 0 || ix >= len then
-              trap "shared load out of bounds: %s[%d]" name ix;
-            Array.unsafe_get (Array.unsafe_get c.si slot) ix))
-    | Kir.Shfl_down (v, l) -> compile_shfl env v l (fun lane d -> lane + d)
-    | Kir.Shfl_xor (v, l) -> compile_shfl env v l (fun lane m -> lane lxor m)
-    | Kir.Shfl_idx (v, l) -> compile_shfl env v l (fun _ src -> src)
-    | Kir.Ballot p ->
-      let fp = as_bexp (compile_vote_pred env p) in
-      let check = converged_check env "warp vote" in
-      let ws = env.ws in
-      I
-        (fun c _ ->
-          check c;
-          let m = ref 0 in
-          for l = 0 to ws - 1 do
-            if c.exists_mask land (1 lsl l) <> 0 && fp c l then
-              m := !m lor (1 lsl l)
-          done;
-          !m)
-    | Kir.Any p ->
-      let fp = as_bexp (compile_vote_pred env p) in
-      let check = converged_check env "warp vote" in
-      let ws = env.ws in
-      B
-        (fun c _ ->
-          check c;
-          let r = ref false in
-          for l = 0 to ws - 1 do
-            if c.exists_mask land (1 lsl l) <> 0 && fp c l then r := true
-          done;
-          !r)
-    | Kir.All p ->
-      let fp = as_bexp (compile_vote_pred env p) in
-      let check = converged_check env "warp vote" in
-      let ws = env.ws in
-      B
-        (fun c _ ->
-          check c;
-          let r = ref true in
-          for l = 0 to ws - 1 do
-            if c.exists_mask land (1 lsl l) <> 0 && not (fp c l) then
-              r := false
-          done;
-          !r))
-
-(* [cmask] is only maintained at evaluation points whose expression
-   statically contains a warp primitive, so the comparison is meaningful
-   exactly where it runs *)
-and converged_check env what =
-  let kname = env.k.Kir.kname in
-  fun c ->
-    if c.cmask <> c.exists_mask then
-      trap "kernel %s: %s under divergent control flow" kname what
-
-and compile_vote_pred env p =
-  if has_mem p then fallback "warp-primitive operand reads memory";
-  compile_exp env p
-
-(* A shuffle evaluates its (pure) value operand at the calling lane first
-   — the own-value fallback, and the evaluation whose node count the
-   reference engine attributes to the counting lane — then re-evaluates it
-   at the resolved source lane, mirroring [Interp]'s order exactly. *)
-and compile_shfl env v l src_of : texp =
-  if has_mem v || has_mem l then
-    fallback "warp-primitive operand reads memory";
-  let ws = env.ws in
-  let check = converged_check env "warp shuffle" in
-  let fl = as_iexp (compile_exp env l) in
-  match compile_exp env v with
-  | I fv ->
-    I
-      (fun c lane ->
-        check c;
-        let own = fv c lane in
-        let src = src_of lane (fl c lane) in
-        if src >= 0 && src < ws && c.exists_mask land (1 lsl src) <> 0 then
-          fv c src
-        else own)
-  | B fv ->
-    B
-      (fun c lane ->
-        check c;
-        let own = fv c lane in
-        let src = src_of lane (fl c lane) in
-        if src >= 0 && src < ws && c.exists_mask land (1 lsl src) <> 0 then
-          fv c src
-        else own)
-  | F fv ->
-    F
-      (fun c lane ->
-        check c;
-        fv c lane;
-        let own = Array.unsafe_get c.facc 0 in
-        let src = src_of lane (fl c lane) in
-        if src >= 0 && src < ws && c.exists_mask land (1 lsl src) <> 0 then
-          fv c src
-        else Array.unsafe_set c.facc 0 own)
-
 (* ----- statement compilation ----- *)
 
 let popcount m =
@@ -1052,86 +574,31 @@ let run_body (body : cstmt array) ctx mask =
     (Array.unsafe_get body i) ctx mask
   done
 
-(* Lane iteration is tail-recursive on int arguments rather than a
-   while-loop over refs: without flambda every [ref] in a closure body is
-   a real heap cell, and these loops run once per warp statement. *)
-let rec each_lane (write : ctx -> int -> unit) ctx m lane =
-  if m <> 0 then begin
-    if m land 1 <> 0 then write ctx lane;
-    each_lane write ctx (m lsr 1) (lane + 1)
-  end
+(* ----- node-major statement engine -----
 
-let rec each_lane_rec (write : ctx -> int -> unit) ctx m lane =
-  if m <> 0 then begin
-    if m land 1 <> 0 then begin
-      Warp_access.begin_lane ctx.acc;
-      write ctx lane
-    end;
-    each_lane_rec write ctx (m lsr 1) (lane + 1)
-  end
+   A statement is staged node-major: each expression node becomes one
+   closure that evaluates all active lanes in a tight unboxed loop over
+   slab rows, so closure dispatch is paid once per warp-node instead of
+   once per lane-node. Node emission order replays the reference
+   engine's per-lane evaluation order (Bin/Cmp right operand first,
+   Select strict cond/then/else, a load's index subtree before its
+   record), and every memory operand takes one [Warp_access] slot in that
+   order with lanes appended in lane order — the priced access stream is
+   identical to the reference engine's, so all statistics stay
+   bit-identical.
 
-(* evaluate a per-lane predicate under [m], returning the mask of lanes
-   where it held; [hm]-gated access recording like the loops above *)
-let rec pred_mask (f : bexp) hm ctx m lane taken =
-  if m = 0 then taken
-  else
-    let taken =
-      if m land 1 <> 0 then begin
-        if hm then Warp_access.begin_lane ctx.acc;
-        if f ctx lane then taken lor (1 lsl lane) else taken
-      end
-      else taken
-    in
-    pred_mask f hm ctx (m lsr 1) (lane + 1) taken
-
-(* one warp statement: [write] per active lane, then price the accesses.
-   Instruction counting is the precomputed [n] — the reference engine
-   counts the same nodes while evaluating the first active lane. *)
-let group ~n ~ns ~hm ~sites (write : ctx -> int -> unit) : cstmt =
-  let base : cstmt =
-    if hm then
-      fun ctx mask ->
-        bump ctx.stats n;
-        Warp_access.set_sites ctx.acc sites;
-        each_lane_rec write ctx mask 0;
-        Warp_access.flush ctx.acc
-    else
-      fun ctx mask ->
-        bump ctx.stats n;
-        each_lane write ctx mask 0
-  in
-  if ns > 0. then
-    fun ctx mask ->
-      shfl_pre ns ctx mask;
-      base ctx mask
-  else base
-
-(* ----- node-major (vectorised) statement engine -----
-
-   The scalar path above walks one closure tree per lane per statement:
-   every AST node costs an indirect call per lane, and float results
-   round-trip through [facc]. The vector path stages the same statement
-   node-major: each node becomes one closure that evaluates all active
-   lanes in a tight unboxed loop over slab rows, so closure dispatch is
-   paid once per warp-node instead of once per lane-node. Node emission
-   order replays the reference engine's per-lane evaluation order
-   (Bin/Cmp right operand first, Select strict cond/then/else, a load's
-   index subtree before its record), and every memory operand takes one
-   [Warp_access] slot in that order with lanes appended in lane order —
-   the priced access stream is identical to the scalar engine's, so all
-   statistics stay bit-identical.
-
-   Only straight-line statements (Set / Store_g / Store_s) vectorise;
-   control flow keeps the scalar statement skeleton and vectorises the
-   statements of its body. A store whose statement also loads the stored
-   buffer falls back to the scalar statement: the scalar engine
-   interleaves lanes' reads and writes, the vector engine would read all
-   lanes first. The scalar compiler has always vetted a statement before
-   the vector path runs, so [Unvectorizable] is a clean per-statement
-   fallback, never a semantic change. The only observable difference is
-   trap interleaving in multi-fault warps: the scalar engine runs whole
-   lanes in order, the vector engine whole nodes in order, so when two
-   lanes would each trap the one that fires first can differ. *)
+   Straight-line statements (Set, stores, atomics) are one fragment each;
+   control flow runs its branch/loop skeleton once per warp and stages
+   its predicate, init and step expressions as fragments. The reference
+   engine runs a statement lane by lane, so a statement whose operands
+   load the array it writes (an aliasing store, or an atomic whose
+   operands read its target) can see earlier lanes' writes there; such a
+   statement checks for a cross-lane read-after-write after the operand
+   pass and replays lane by lane when it finds one ([checked] below).
+   The only other observable difference is trap interleaving in
+   multi-fault warps: the reference engine runs whole lanes in order,
+   this engine whole nodes in order, so when two lanes would each trap
+   the one that fires first can differ. *)
 
 let iarr ctx = function
   | VIs _ -> ctx.vi_slab
@@ -1145,9 +612,10 @@ let ioff = function VIs o | VIr o | VIc o -> o | VTx | VTy | VTz -> 0
 let farr ctx = function VFs _ -> ctx.vf_slab | VFr _ -> ctx.freg | VFc _ -> ctx.vf_const
 let foff = function VFs o | VFr o | VFc o -> o
 
-(* Lane loops mirror [each_lane]: tail-recursive on ints, no refs. Every
-   maker resolves its operand rows once per node call, then runs a
-   branch-free (bar the mask test) unboxed loop. *)
+(* Lane loops are tail-recursive on ints rather than while-loops over
+   refs: without flambda every [ref] a closure captures is a real heap
+   cell. Every maker resolves its operand rows once per node call, then
+   runs a branch-free (bar the mask test) unboxed loop. *)
 
 let v_ibin op sa sb d : vnode =
  fun ctx m ->
@@ -1300,7 +768,7 @@ let v_fbin op sa sb d : vnode =
     in
     go m 0
   | Min ->
-    (* Float.min, like the scalar engine: NaN- and signed-zero-aware *)
+    (* Float.min, like the reference engine: NaN- and signed-zero-aware *)
     let rec go m l =
       if m <> 0 then begin
         if m land 1 <> 0 then
@@ -1389,7 +857,7 @@ let v_icmp op sa sb d : vnode =
     in
     go m 0
 
-(* Float comparisons follow the scalar engine's [Float.compare] total
+(* Float comparisons follow the reference engine's [Float.compare] total
    order (NaN below everything, NaN = NaN) — spelled out with IEEE
    operators plus NaN tests so the loop stays free of C calls. *)
 let v_fcmp op sa sb d : vnode =
@@ -1587,7 +1055,7 @@ let v_f2i sa d : vnode =
   in
   go m 0
 
-(* the blend tests <> 0, matching [as_bexp]'s int-to-bool coercion *)
+(* the blend tests <> 0, the reference engine's int-to-bool coercion *)
 let v_isel sc sa sb d : vnode =
  fun ctx m ->
   let c = iarr ctx sc and a = iarr ctx sa and b = iarr ctx sb in
@@ -1627,7 +1095,7 @@ let v_bid dim ws o : vnode =
   Array.fill ctx.vi_slab o ws
     (match dim with Kir.X -> ctx.bidx | Kir.Y -> ctx.bidy | Kir.Z -> ctx.bidz)
 
-let v_copy_i src dbase : vnode =
+let v_copy_i dbase src : vnode =
  fun ctx m ->
   let a = iarr ctx src and dst = ctx.ireg in
   let ao = ioff src in
@@ -1640,7 +1108,7 @@ let v_copy_i src dbase : vnode =
   in
   go m 0
 
-let v_copy_f src dbase : vnode =
+let v_copy_f dbase src : vnode =
  fun ctx m ->
   let a = farr ctx src and dst = ctx.freg in
   let ao = foff src in
@@ -1654,7 +1122,7 @@ let v_copy_f src dbase : vnode =
   go m 0
 
 (* loads/stores: per active lane, record then bounds-check then touch the
-   data — the same order as the scalar engine, slot by slot *)
+   data — the same order as the reference engine, slot by slot *)
 
 let v_load_gf name (a : float array) base eb ms sidx d : vnode =
   let len = Array.length a in
@@ -1812,6 +1280,56 @@ let v_store_si name slot len ms sidx sv : vnode =
   in
   go m 0
 
+(* Global atomics: per active lane, operands, contention record, bounds
+   check, then the read-modify-write — the reference engine's per-lane
+   order. The returning form ([rbase >= 0]) captures the pre-add value in
+   its register row, which an operand row may alias: the lane's operands
+   are read before it is written. *)
+
+let v_atomic_f name (a : float array) sidx sv rbase : vnode =
+  let len = Array.length a in
+  fun ctx m ->
+    let ia = iarr ctx sidx and va = farr ctx sv and acc = ctx.acc in
+    let io = ioff sidx and vo = foff sv in
+    let rec go m l =
+      if m <> 0 then begin
+        if m land 1 <> 0 then begin
+          let ix = Array.unsafe_get ia (io + l) in
+          let x = Array.unsafe_get va (vo + l) in
+          Warp_access.atomic_record acc ix;
+          if ix < 0 || ix >= len then
+            trap "load out of bounds: %s[%d] (len %d)" name ix len;
+          let old = Array.unsafe_get a ix in
+          if rbase >= 0 then Array.unsafe_set ctx.freg (rbase + l) old;
+          Array.unsafe_set a ix (old +. x)
+        end;
+        go (m lsr 1) (l + 1)
+      end
+    in
+    go m 0
+
+let v_atomic_i name (a : int array) sidx sv rbase : vnode =
+  let len = Array.length a in
+  fun ctx m ->
+    let ia = iarr ctx sidx and va = iarr ctx sv and acc = ctx.acc in
+    let io = ioff sidx and vo = ioff sv in
+    let rec go m l =
+      if m <> 0 then begin
+        if m land 1 <> 0 then begin
+          let ix = Array.unsafe_get ia (io + l) in
+          let x = Array.unsafe_get va (vo + l) in
+          Warp_access.atomic_record acc ix;
+          if ix < 0 || ix >= len then
+            trap "load out of bounds: %s[%d] (len %d)" name ix len;
+          let old = Array.unsafe_get a ix in
+          if rbase >= 0 then Array.unsafe_set ctx.ireg (rbase + l) old;
+          Array.unsafe_set a ix (old + x)
+        end;
+        go (m lsr 1) (l + 1)
+      end
+    in
+    go m 0
+
 (* mask extraction and loop-counter updates for vectorised control flow *)
 
 let v_maskof src : ctx -> int -> int =
@@ -1844,7 +1362,7 @@ let v_iltmask rbase src : ctx -> int -> int =
   in
   go m 0 0
 
-(* Float.compare _ _ < 0 total order, like the scalar For cond *)
+(* Float.compare _ _ < 0 total order, like the reference For cond *)
 let v_fltmask rbase src : ctx -> int -> int =
  fun ctx m ->
   let a = ctx.freg and b = farr ctx src in
@@ -1891,14 +1409,16 @@ let v_faddreg rbase src : vnode =
 
 (* Warp shuffles node-major: the whole warp's operand rows are fully
    written before the node runs (emission order), so cross-lane reads are
-   ready. Convergence is checked against the mask the node actually runs
-   under; with the full warp active every in-range existing source lane
-   holds a valid row entry. Out-of-range or non-existent sources fall
-   back to the lane's own value, like both scalar engines. *)
+   ready. Convergence is checked against the statement's mask, which
+   [shfl_pre] publishes in [cmask] (a lane-ordered replay runs the node
+   under one-lane masks); with the full warp active every in-range
+   existing source lane holds a valid row entry. Out-of-range or
+   non-existent sources fall back to the lane's own value, like the
+   reference engine. *)
 
 let v_shfl_i kname ws src_of sa sl d : vnode =
  fun ctx m ->
-  if m <> ctx.exists_mask then
+  if ctx.cmask <> ctx.exists_mask then
     trap "kernel %s: warp shuffle under divergent control flow" kname;
   let a = iarr ctx sa and s = iarr ctx sl and dst = ctx.vi_slab in
   let ao = ioff sa and so = ioff sl in
@@ -1918,7 +1438,7 @@ let v_shfl_i kname ws src_of sa sl d : vnode =
 
 let v_shfl_f kname ws src_of sa sl d : vnode =
  fun ctx m ->
-  if m <> ctx.exists_mask then
+  if ctx.cmask <> ctx.exists_mask then
     trap "kernel %s: warp shuffle under divergent control flow" kname;
   let a = farr ctx sa and s = iarr ctx sl and dst = ctx.vf_slab in
   let ao = foff sa and so = ioff sl in
@@ -1943,7 +1463,7 @@ type vote_kind = Vballot | Vany | Vall
 
 let v_vote kname kind sp d : vnode =
  fun ctx m ->
-  if m <> ctx.exists_mask then
+  if ctx.cmask <> ctx.exists_mask then
     trap "kernel %s: warp vote under divergent control flow" kname;
   let p = iarr ctx sp and dst = ctx.vi_slab in
   let po = ioff sp in
@@ -1971,6 +1491,19 @@ let v_vote kname kind sp d : vnode =
   go m 0
 
 (* ----- vector compilation ----- *)
+
+let new_vstate env watch =
+  {
+    vg = env.vg;
+    vws = env.ws;
+    rev_nodes = [];
+    ni = 0;
+    nf = 0;
+    rev_kinds = [];
+    nmem = 0;
+    watch;
+    watched_rows = [];
+  }
 
 let vemit (st : vstate) n = st.rev_nodes <- n :: st.rev_nodes
 
@@ -2013,43 +1546,42 @@ let vconst_f (st : vstate) x =
     Hashtbl.add vg.ftbl key o;
     o
 
-(* does the expression load from global buffer [name] / shared [name]? *)
-let rec loads_global name (e : Kir.exp) =
+(* does the expression load from the given global / shared array? *)
+let rec loads kind name (e : Kir.exp) =
   match e with
-  | Kir.Load_g (n, i) -> String.equal n name || loads_global name i
-  | Kir.Load_s (_, i) -> loads_global name i
+  | Kir.Load_g (n, i) ->
+    (kind = Warp_access.Global && String.equal n name) || loads kind name i
+  | Kir.Load_s (n, i) ->
+    (kind = Warp_access.Shared && String.equal n name) || loads kind name i
   | Kir.Bin (_, a, b) | Kir.Cmp (_, a, b) ->
-    loads_global name a || loads_global name b
-  | Kir.Un (_, a) -> loads_global name a
+    loads kind name a || loads kind name b
+  | Kir.Un (_, a) -> loads kind name a
   | Kir.Select (c, a, b) ->
-    loads_global name c || loads_global name a || loads_global name b
+    loads kind name c || loads kind name a || loads kind name b
   | Kir.Shfl_down (v, l) | Kir.Shfl_xor (v, l) | Kir.Shfl_idx (v, l) ->
-    loads_global name v || loads_global name l
-  | Kir.Ballot p | Kir.Any p | Kir.All p -> loads_global name p
+    loads kind name v || loads kind name l
+  | Kir.Ballot p | Kir.Any p | Kir.All p -> loads kind name p
   | Kir.Int _ | Kir.Float _ | Kir.Bool _ | Kir.Reg _ | Kir.Tid _ | Kir.Bid _
   | Kir.Bdim _ | Kir.Gdim _ | Kir.Param _ ->
     false
 
-let rec loads_shared name (e : Kir.exp) =
-  match e with
-  | Kir.Load_s (n, i) -> String.equal n name || loads_shared name i
-  | Kir.Load_g (_, i) -> loads_shared name i
-  | Kir.Bin (_, a, b) | Kir.Cmp (_, a, b) ->
-    loads_shared name a || loads_shared name b
-  | Kir.Un (_, a) -> loads_shared name a
-  | Kir.Select (c, a, b) ->
-    loads_shared name c || loads_shared name a || loads_shared name b
-  | Kir.Shfl_down (v, l) | Kir.Shfl_xor (v, l) | Kir.Shfl_idx (v, l) ->
-    loads_shared name v || loads_shared name l
-  | Kir.Ballot p | Kir.Any p | Kir.All p -> loads_shared name p
-  | Kir.Int _ | Kir.Float _ | Kir.Bool _ | Kir.Reg _ | Kir.Tid _ | Kir.Bid _
-  | Kir.Bdim _ | Kir.Gdim _ | Kir.Param _ ->
-    false
+(* the array a statement writes, watched when its operands also load it *)
+let watch_of kind name operands =
+  if List.exists (loads kind name) operands then Some (kind, name) else None
+
+(* note the index row of a load from the watched array *)
+let watch_load (st : vstate) kind name sidx =
+  match st.watch with
+  | Some (k, n) when k = kind && String.equal n name ->
+    st.watched_rows <- sidx :: st.watched_rows
+  | _ -> ()
 
 (* Emission order tracks the reference engine's per-lane evaluation
    order: a node's operand rows are fully written before the node runs
-   for any lane, and memory slots are allocated exactly where the scalar
-   engine's per-lane record cursor would sit. *)
+   for any lane, and memory slots are allocated exactly where the
+   reference engine's per-lane record cursor would sit. Every form the
+   node-major engine cannot stage faithfully raises [Fallback], handing
+   the launch to the reference engine. *)
 let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
   match cfold env e with
   | Some (CI n) -> VI (VIc (vconst_i st n))
@@ -2085,7 +1617,7 @@ let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
           let d = valloc_i st in
           vemit st (v_ibin op xa xb d);
           VB (VIs d)
-        | _ -> raise Unvectorizable)
+        | _ -> fallback "logical op on non-boolean")
       | Add | Sub | Mul | Div | Mod | Min | Max -> (
         match (ta, tb) with
         | VI xa, VI xb ->
@@ -2093,11 +1625,11 @@ let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
           vemit st (v_ibin op xa xb d);
           VI (VIs d)
         | VF xa, VF xb ->
-          if op = Mod then raise Unvectorizable;
+          if op = Mod then fallback "mod on floats";
           let d = valloc_f st in
           vemit st (v_fbin op xa xb d);
           VF (VFs d)
-        | _ -> raise Unvectorizable))
+        | _ -> fallback "mixed-type arithmetic"))
     | Kir.Un (op, a) -> (
       let ta = vcompile_exp env st a in
       let open Ppat_ir.Exp in
@@ -2122,7 +1654,7 @@ let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
         let d = valloc_i st in
         vemit st (v_f2i x d);
         VI (VIs d)
-      | _ -> raise Unvectorizable)
+      | _ -> fallback "unop operand type mismatch")
     | Kir.Cmp (op, a, b) -> (
       let tb = vcompile_exp env st b in
       let ta = vcompile_exp env st a in
@@ -2136,13 +1668,9 @@ let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
         let d = valloc_i st in
         vemit st (v_fcmp op xa xb d);
         VB (VIs d)
-      | _ -> raise Unvectorizable)
+      | _ -> fallback "mixed-type comparison")
     | Kir.Select (c0, a, b) -> (
-      let sc =
-        match vcompile_exp env st c0 with
-        | VB s | VI s -> s  (* [as_bexp]: ints coerce via <> 0 *)
-        | VF _ -> raise Unvectorizable
-      in
+      let sc = vbool env st c0 in
       let ta = vcompile_exp env st a in
       let tb = vcompile_exp env st b in
       match (ta, tb) with
@@ -2158,14 +1686,11 @@ let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
         let d = valloc_f st in
         vemit st (v_fsel sc xa xb d);
         VF (VFs d)
-      | _ -> raise Unvectorizable)
+      | _ -> fallback "mixed-type select")
     | Kir.Load_g (name, i) -> (
       let entry = find_entry env name in
-      let sidx =
-        match vcompile_exp env st i with
-        | VI s | VB s -> s  (* [as_iexp]: bools coerce to 0/1 *)
-        | VF _ -> raise Unvectorizable
-      in
+      let sidx = vint env st i in
+      watch_load st Warp_access.Global name sidx;
       let ms = valloc_slot st Warp_access.Global in
       let base = entry.Memory.base and eb = entry.Memory.elem_bytes in
       match entry.Memory.data with
@@ -2178,22 +1703,18 @@ let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
         vemit st (v_load_gi name a base eb ms sidx d);
         VI (VIs d))
     | Kir.Load_s (name, i) -> (
-      let sidx =
-        match vcompile_exp env st i with
-        | VI s | VB s -> s
-        | VF _ -> raise Unvectorizable
-      in
+      let sidx = vint env st i in
+      watch_load st Warp_access.Shared name sidx;
       let ms = valloc_slot st Warp_access.Shared in
-      match List.assoc_opt name env.smem_env with
-      | Some (Sf (slot, len)) ->
+      match smem_ref env name with
+      | Sf (slot, len) ->
         let d = valloc_f st in
         vemit st (v_load_sf name slot len ms sidx d);
         VF (VFs d)
-      | Some (Si (slot, len)) ->
+      | Si (slot, len) ->
         let d = valloc_i st in
         vemit st (v_load_si name slot len ms sidx d);
-        VI (VIs d)
-      | None -> raise Unvectorizable)
+        VI (VIs d))
     | Kir.Shfl_down (v, l) -> vshfl env st v l (fun lane d -> lane + d)
     | Kir.Shfl_xor (v, l) -> vshfl env st v l (fun lane m -> lane lxor m)
     | Kir.Shfl_idx (v, l) -> vshfl env st v l (fun _ src -> src)
@@ -2201,16 +1722,25 @@ let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
     | Kir.Any p -> VB (VIs (vvote env st p Vany))
     | Kir.All p -> VB (VIs (vvote env st p Vall)))
 
+(* the reference engine's loose coercions: an index or lane selector may
+   be a boolean (0/1), a condition may be an integer (<> 0) *)
+and vint env st e =
+  match vcompile_exp env st e with
+  | VI s | VB s -> s
+  | VF _ -> fallback "expected an integer, got a float"
+
+and vbool env st e =
+  match vcompile_exp env st e with
+  | VB s | VI s -> s
+  | VF _ -> fallback "expected a boolean, got a float"
+
 (* value row first, then the lane selector — the reference order *)
 and vshfl env (st : vstate) v l src_of : vtexp =
-  if has_mem v || has_mem l then raise Unvectorizable;
+  if has_mem v || has_mem l then
+    fallback "warp-primitive operand reads memory";
   let kname = env.k.Kir.kname in
   let tv = vcompile_exp env st v in
-  let sl =
-    match vcompile_exp env st l with
-    | VI s | VB s -> s
-    | VF _ -> raise Unvectorizable
-  in
+  let sl = vint env st l in
   match tv with
   | VI sa ->
     let d = valloc_i st in
@@ -2226,19 +1756,30 @@ and vshfl env (st : vstate) v l src_of : vtexp =
     VF (VFs d)
 
 and vvote env (st : vstate) p kind : int =
-  if has_mem p then raise Unvectorizable;
-  let sp =
-    match vcompile_exp env st p with
-    | VB s | VI s -> s
-    | VF _ -> raise Unvectorizable
-  in
+  if has_mem p then fallback "warp-primitive operand reads memory";
+  let sp = vbool env st p in
   let d = valloc_i st in
   vemit st (v_vote env.k.Kir.kname kind sp d);
   d
 
-(* Stage one straight-line statement node-major, or [None] if the scalar
-   statement must be kept. [n] is the same precomputed instruction count
-   the scalar [group] would bump. *)
+let vfloat env st e =
+  match vcompile_exp env st e with
+  | VF s -> s
+  | VI _ | VB _ -> fallback "expected a float"
+
+(* Retire a fragment's nodes and slot kinds, folding its temp-slot use
+   into the launch-wide slab sizing. *)
+let vfinish (st : vstate) =
+  let vg = st.vg in
+  vg.max_ni <- max vg.max_ni st.ni;
+  vg.max_nf <- max vg.max_nf st.nf;
+  (Array.of_list (List.rev st.rev_nodes), Array.of_list (List.rev st.rev_kinds))
+
+let run_nodes (nodes : vnode array) ctx mask =
+  for i = 0 to Array.length nodes - 1 do
+    (Array.unsafe_get nodes i) ctx mask
+  done
+
 (* Close a vector fragment into a runnable closure: slot setup, node run,
    flush when the fragment touches memory.  No instruction bump and no
    mask guard — the surrounding control flow does both. [sites] holds the
@@ -2246,24 +1787,14 @@ and vvote env (st : vstate) p kind : int =
    fragment's record order (both replay the reference evaluation order),
    so index s names slot s. *)
 let vclose (st : vstate) (sites : int array) : ctx -> int -> unit =
-  let nodes = Array.of_list (List.rev st.rev_nodes) in
-  let kinds = Array.of_list (List.rev st.rev_kinds) in
+  let nodes, kinds = vfinish st in
   let nmem = st.nmem in
-  let nn = Array.length nodes in
-  let vg = st.vg in
-  vg.max_ni <- max vg.max_ni st.ni;
-  vg.max_nf <- max vg.max_nf st.nf;
   if nmem > 0 then (fun ctx mask ->
     Warp_access.set_sites ctx.acc sites;
     Warp_access.set_slots ctx.acc kinds nmem;
-    for i = 0 to nn - 1 do
-      (Array.unsafe_get nodes i) ctx mask
-    done;
+    run_nodes nodes ctx mask;
     Warp_access.flush ctx.acc)
-  else fun ctx mask ->
-    for i = 0 to nn - 1 do
-      (Array.unsafe_get nodes i) ctx mask
-    done
+  else run_nodes nodes
 
 (* the flush-group site array of a straight-line statement's annotation *)
 let simple_sites (a : Site.ann) =
@@ -2274,709 +1805,347 @@ let simple_sites (a : Site.ann) =
 let atomic_sites (a : Site.ann) =
   match a with Site.A_atomic (ops, s) -> (ops, s) | _ -> (Site.no_sites, -1)
 
-let vcompile_stmt env (s : Kir.stmt) (a : Site.ann) : cstmt option =
-  let st =
-    {
-      vg = env.vg;
-      vws = env.ws;
-      rev_nodes = [];
-      ni = 0;
-      nf = 0;
-      rev_kinds = [];
-      nmem = 0;
-    }
+(* ----- cross-lane read-after-write -----
+
+   A statement that writes an array its operands also load is only
+   node-major-exact if no lane's write is visible to a later lane's load:
+   the reference engine runs lane by lane, so lane j's loads see the
+   writes of every earlier active lane i < j, while the node-major pass
+   loads for all lanes before writing any. By induction over the lanes,
+   the two agree exactly when no earlier lane writes an element that a
+   later lane loaded — [raw_conflict] tests that on the write's index row
+   [sidx] against the watched loads' index rows. A prefix min/max of the
+   written indices skips the lane scan for the common shapes (a lane
+   rereading its own element, or reading a row the warp does not write). *)
+let raw_conflict sidx (watched : visrc array) : ctx -> int -> bool =
+  let so = ioff sidx in
+  let nw = Array.length watched in
+  fun ctx m ->
+    let s = iarr ctx sidx in
+    let hit = ref false and lo = ref max_int and hi = ref min_int in
+    let rest = ref m and j = ref 0 in
+    while !rest <> 0 && not !hit do
+      if !rest land 1 <> 0 then begin
+        for w = 0 to nw - 1 do
+          let src = Array.unsafe_get watched w in
+          let x = Array.unsafe_get (iarr ctx src) (ioff src + !j) in
+          if x >= !lo && x <= !hi then
+            for i = 0 to !j - 1 do
+              if m land (1 lsl i) <> 0 && Array.unsafe_get s (so + i) = x then
+                hit := true
+            done
+        done;
+        let y = Array.unsafe_get s (so + !j) in
+        if y < !lo then lo := y;
+        if y > !hi then hi := y
+      end;
+      rest := !rest lsr 1;
+      incr j
+    done;
+    !hit
+
+(* Run every node for one lane at a time, in lane order: the reference
+   engine's schedule, so each lane's loads see the earlier lanes' writes.
+   Warp primitives stay exact — their operands are pure, so the rows the
+   node-major pass filled still hold every lane's value. *)
+let rec replay_lanes pre (fin : vnode) ctx m l =
+  if m <> 0 then begin
+    if m land 1 <> 0 then begin
+      run_nodes pre ctx (1 lsl l);
+      fin ctx (1 lsl l)
+    end;
+    replay_lanes pre fin ctx (m lsr 1) (l + 1)
+  end
+
+(* Operands node-major, then the write [fin] — unless the write would be
+   visible to a later lane's load (or the node-major pass trapped on a
+   value an earlier lane's write would have changed): then reset the
+   slots and replay the whole statement lane by lane. *)
+let checked pre fin conflict kinds nmem : vnode =
+ fun ctx mask ->
+  let exact =
+    match run_nodes pre ctx mask with
+    | () -> not (conflict ctx mask)
+    | exception Simt_error.Trap _ -> false
   in
-  let sites = simple_sites a in
-  let finish n ns =
-    let nodes = Array.of_list (List.rev st.rev_nodes) in
-    let kinds = Array.of_list (List.rev st.rev_kinds) in
-    let nmem = st.nmem in
+  if exact then fin ctx mask
+  else begin
+    Ppat_metrics.Metrics.incr Engine_metrics.lane_replays;
+    Warp_access.set_slots ctx.acc kinds nmem;
+    replay_lanes pre fin ctx mask 0
+  end
+
+(* Close a straight-line statement: its operand nodes, then [fin] — the
+   register copy, store or atomic. [n] is the reference engine's
+   instruction count for the statement, [ns] its warp-primitive count.
+   [idx] is the write's index row, checked against the watched loads;
+   [atomic] wraps the statement in the contention accounting of one warp
+   atomic instruction. *)
+let vstmt (st : vstate) sites ~n ~ns ?idx ?atomic (fin : vnode) : cstmt =
+  Ppat_metrics.Metrics.incr Engine_metrics.vector_stmts;
+  let pre, kinds = vfinish st in
+  let nmem = st.nmem in
+  let n = float_of_int n and ns = float_of_int ns in
+  match (idx, st.watched_rows, atomic) with
+  | None, _, None | Some _, [], None ->
+    (* the common case: one flat node loop, inlined in the closure *)
+    let nodes = Array.append pre [| fin |] in
     let nn = Array.length nodes in
-    let vg = st.vg in
-    vg.max_ni <- max vg.max_ni st.ni;
-    vg.max_nf <- max vg.max_nf st.nf;
-    if nmem > 0 then
-      Some
-        (fun ctx mask ->
-          shfl_pre ns ctx mask;
-          bump ctx.stats n;
-          if mask <> 0 then begin
-            Warp_access.set_sites ctx.acc sites;
-            Warp_access.set_slots ctx.acc kinds nmem;
-            for i = 0 to nn - 1 do
-              (Array.unsafe_get nodes i) ctx mask
-            done;
-            Warp_access.flush ctx.acc
-          end)
-    else
-      Some
-        (fun ctx mask ->
-          shfl_pre ns ctx mask;
-          bump ctx.stats n;
-          if mask <> 0 then
-            for i = 0 to nn - 1 do
-              (Array.unsafe_get nodes i) ctx mask
-            done)
-  in
-  try
-    match s with
-    | Kir.Set (r, e) ->
-      let n = float_of_int (nodes e) in
-      let ns = float_of_int (shfl_nodes e) in
-      let base = r * env.ws in
-      (match (env.rt.(r), vcompile_exp env st e) with
-       | TI, VI src | TB, VB src -> vemit st (v_copy_i src base)
-       | TF, VF src -> vemit st (v_copy_f src base)
-       | _ -> raise Unvectorizable);
-      finish n ns
-    | Kir.Store_g (name, i, v) ->
-      if loads_global name i || loads_global name v then raise Unvectorizable;
-      let n = float_of_int (1 + nodes i + nodes v) in
-      let ns = float_of_int (shfl_nodes i + shfl_nodes v) in
-      let entry = find_entry env name in
-      let sidx =
-        match vcompile_exp env st i with
-        | VI s | VB s -> s
-        | VF _ -> raise Unvectorizable
-      in
-      let base = entry.Memory.base and eb = entry.Memory.elem_bytes in
-      (match entry.Memory.data with
-       | Ppat_ir.Host.F a ->
-         let sv =
-           match vcompile_exp env st v with
-           | VF s -> s
-           | VI _ | VB _ -> raise Unvectorizable
-         in
-         let ms = valloc_slot st Warp_access.Global in
-         vemit st (v_store_gf name a base eb ms sidx sv)
-       | Ppat_ir.Host.I a ->
-         let sv =
-           match vcompile_exp env st v with
-           | VI s | VB s -> s
-           | VF _ -> raise Unvectorizable
-         in
-         let ms = valloc_slot st Warp_access.Global in
-         vemit st (v_store_gi name a base eb ms sidx sv));
-      finish n ns
-    | Kir.Store_s (name, i, v) ->
-      if loads_shared name i || loads_shared name v then raise Unvectorizable;
-      let n = float_of_int (1 + nodes i + nodes v) in
-      let ns = float_of_int (shfl_nodes i + shfl_nodes v) in
-      let sidx =
-        match vcompile_exp env st i with
-        | VI s | VB s -> s
-        | VF _ -> raise Unvectorizable
-      in
-      (match List.assoc_opt name env.smem_env with
-       | Some (Sf (slot, len)) ->
-         let sv =
-           match vcompile_exp env st v with
-           | VF s -> s
-           | VI _ | VB _ -> raise Unvectorizable
-         in
-         let ms = valloc_slot st Warp_access.Shared in
-         vemit st (v_store_sf name slot len ms sidx sv)
-       | Some (Si (slot, len)) ->
-         let sv =
-           match vcompile_exp env st v with
-           | VI s | VB s -> s
-           | VF _ -> raise Unvectorizable
-         in
-         let ms = valloc_slot st Warp_access.Shared in
-         vemit st (v_store_si name slot len ms sidx sv)
-       | None -> raise Unvectorizable);
-      finish n ns
-    | _ -> None
-  with Unvectorizable -> None
+    if nmem > 0 then (fun ctx mask ->
+      shfl_pre ns ctx mask;
+      bump ctx.stats n;
+      if mask <> 0 then begin
+        Warp_access.set_sites ctx.acc sites;
+        Warp_access.set_slots ctx.acc kinds nmem;
+        for i = 0 to nn - 1 do
+          (Array.unsafe_get nodes i) ctx mask
+        done;
+        Warp_access.flush ctx.acc
+      end)
+    else fun ctx mask ->
+      shfl_pre ns ctx mask;
+      bump ctx.stats n;
+      if mask <> 0 then
+        for i = 0 to nn - 1 do
+          (Array.unsafe_get nodes i) ctx mask
+        done
+  | _ ->
+    let body =
+      match (idx, st.watched_rows) with
+      | Some sidx, (_ :: _ as rows) ->
+        checked pre fin (raw_conflict sidx (Array.of_list rows)) kinds nmem
+      | _ ->
+        fun ctx mask ->
+          run_nodes pre ctx mask;
+          fin ctx mask
+    in
+    let asite, entry =
+      match atomic with Some (s, e) -> (s, Some e) | None -> (-1, None)
+    in
+    fun ctx mask ->
+      shfl_pre ns ctx mask;
+      bump ctx.stats n;
+      if mask <> 0 then begin
+        if Option.is_some entry then Warp_access.atomic_begin ctx.acc;
+        Warp_access.set_sites ctx.acc sites;
+        Warp_access.set_slots ctx.acc kinds nmem;
+        body ctx mask;
+        Warp_access.flush ctx.acc;
+        Option.iter (Warp_access.atomic_commit ctx.acc asite) entry
+      end
 
-let rec compile_stmt env (s : Kir.stmt) (a : Site.ann) : cstmt =
-  match s with
-  | Kir.Set _ | Kir.Store_g _ | Kir.Store_s _ -> (
-    (* the scalar compiler always runs first — it performs every type
-       check and whole-launch fallback decision — then the vector path
-       replaces the statement closure when it supports the form *)
-    let scalar = compile_stmt_scalar env s a in
-    match vcompile_stmt env s a with
-    | Some v ->
-      Ppat_metrics.Metrics.incr Engine_metrics.vector_stmts;
-      v
-    | None ->
-      Ppat_metrics.Metrics.incr Engine_metrics.scalar_stmts;
-      scalar)
-  | Kir.If _ | Kir.For _ | Kir.While _ -> (
-    (* control flow: the vector path only accepts operand shapes the
-       scalar compiler also accepts, so trying it first cannot mask a
-       whole-launch fallback — on Unvectorizable we recompile scalar,
-       which re-runs every type check *)
-    match vcompile_ctl env s a with
-    | Some v ->
-      Ppat_metrics.Metrics.incr Engine_metrics.vector_ctl;
-      v
-    | None ->
-      Ppat_metrics.Metrics.incr Engine_metrics.scalar_ctl;
-      compile_stmt_scalar env s a)
-  | _ -> compile_stmt_scalar env s a
-
-(* Vectorised control flow.  The branch/loop skeleton (divergence
+(* Statement compilation. A straight-line statement is one node-major
+   fragment. Control flow runs its branch/loop skeleton (divergence
    bookkeeping, per-iteration instruction bumps, the iteration guard)
-   mirrors the scalar arms exactly; only predicate/init/step evaluation
-   is node-major.  Each fragment compiles once and is replayed every
-   iteration: temp slots are fragment-local, memory slots are re-armed
-   per run by [vclose]'s set_slots. *)
-and vcompile_ctl env (s : Kir.stmt) (a : Site.ann) : cstmt option =
-  let fresh () =
-    {
-      vg = env.vg;
-      vws = env.ws;
-      rev_nodes = [];
-      ni = 0;
-      nf = 0;
-      rev_kinds = [];
-      nmem = 0;
-    }
-  in
-  match s, a with
-  | Kir.If (c, t, e), Site.A_if (csites, bsite, ta, ea) -> (
-    let st = fresh () in
-    let src =
-      try
-        Some
-          (match vcompile_exp env st c with
-           | VB s | VI s -> s
-           | VF _ -> raise Unvectorizable)
-      with Unvectorizable -> None
-    in
-    match src with
-    | None -> None
-    | Some src ->
-      let n = float_of_int (nodes c) in
-      let ns_c = float_of_int (shfl_nodes c) in
-      let run = vclose st csites in
-      let ext = v_maskof src in
-      let ct = Array.of_list (List.map2 (compile_stmt env) t ta) in
-      let ce = Array.of_list (List.map2 (compile_stmt env) e ea) in
-      let divergible = t <> [] || e <> [] in
-      let has_else = e <> [] in
-      Some
-        (fun ctx mask ->
-          shfl_pre ns_c ctx mask;
-          bump ctx.stats n;
-          run ctx mask;
-          let taken = ext ctx mask in
-          let fall = mask land lnot taken in
-          let bt = taken <> 0 and bf = fall <> 0 in
-          if bt && bf && divergible then
-            begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-          if bt then run_body ct ctx taken;
-          if bf && has_else then run_body ce ctx fall))
-  | Kir.For { reg; lo; hi; step; body }, Site.A_for (los, his, sts, bsite, ba)
-    -> (
-    let base = reg * env.ws in
-    let kname = env.k.Kir.kname in
-    let build init condr cond_ext stepf =
-      let cbody = Array.of_list (List.map2 (compile_stmt env) body ba) in
-      let n_lo = float_of_int (nodes lo) in
-      let n_cond = float_of_int (nodes hi + 1) in
-      let n_step = float_of_int (nodes step + 1) in
-      let ns_lo = float_of_int (shfl_nodes lo) in
-      let ns_cond = float_of_int (shfl_nodes hi) in
-      let ns_step = float_of_int (shfl_nodes step) in
-      Some
-        (fun ctx mask ->
-          shfl_pre ns_lo ctx mask;
-          bump ctx.stats n_lo;
-          init ctx mask;
-          let rec loop active iters =
-            shfl_pre ns_cond ctx active;
-            bump ctx.stats n_cond;
-            condr ctx active;
-            let next = cond_ext ctx active in
-            if next <> 0 then begin
-              if active land lnot next <> 0 then
-                begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-              run_body cbody ctx next;
-              shfl_pre ns_step ctx next;
-              bump ctx.stats n_step;
-              stepf ctx next;
-              let iters = iters + 1 in
-              if iters > max_loop_iters then
-                trap "kernel %s: loop exceeded %d iterations" kname
-                  max_loop_iters;
-              loop next iters
-            end
-          in
-          loop mask 0)
-    in
-    match env.rt.(reg) with
-    | TB -> None
-    | TI -> (
-      try
-        let st1 = fresh () in
-        let s_lo =
-          match vcompile_exp env st1 lo with
-          | VI s -> s
-          | _ -> raise Unvectorizable
-        in
-        vemit st1 (v_copy_i s_lo base);
-        let init = vclose st1 los in
-        let st2 = fresh () in
-        let s_hi =
-          match vcompile_exp env st2 hi with
-          | VI s -> s
-          | _ -> raise Unvectorizable
-        in
-        let condr = vclose st2 his in
-        let st3 = fresh () in
-        let s_st =
-          match vcompile_exp env st3 step with
-          | VI s -> s
-          | _ -> raise Unvectorizable
-        in
-        vemit st3 (v_iaddreg base s_st);
-        build init condr (v_iltmask base s_hi) (vclose st3 sts)
-      with Unvectorizable -> None)
-    | TF -> (
-      try
-        let st1 = fresh () in
-        let s_lo =
-          match vcompile_exp env st1 lo with
-          | VF s -> s
-          | _ -> raise Unvectorizable
-        in
-        vemit st1 (v_copy_f s_lo base);
-        let init = vclose st1 los in
-        let st2 = fresh () in
-        let s_hi =
-          match vcompile_exp env st2 hi with
-          | VF s -> s
-          | _ -> raise Unvectorizable
-        in
-        let condr = vclose st2 his in
-        let st3 = fresh () in
-        let s_st =
-          match vcompile_exp env st3 step with
-          | VF s -> s
-          | _ -> raise Unvectorizable
-        in
-        vemit st3 (v_faddreg base s_st);
-        build init condr (v_fltmask base s_hi) (vclose st3 sts)
-      with Unvectorizable -> None))
-  | Kir.While (c, body), Site.A_while (csites, bsite, ba) -> (
-    let st = fresh () in
-    let src =
-      try
-        Some
-          (match vcompile_exp env st c with
-           | VB s | VI s -> s
-           | VF _ -> raise Unvectorizable)
-      with Unvectorizable -> None
-    in
-    match src with
-    | None -> None
-    | Some src ->
-      let n_c = float_of_int (nodes c) in
-      let ns_c = float_of_int (shfl_nodes c) in
-      let run = vclose st csites in
-      let ext = v_maskof src in
-      let cbody = Array.of_list (List.map2 (compile_stmt env) body ba) in
-      let kname = env.k.Kir.kname in
-      Some
-        (fun ctx mask ->
-          let rec loop active iters =
-            shfl_pre ns_c ctx active;
-            bump ctx.stats n_c;
-            run ctx active;
-            let next = ext ctx active in
-            if next <> 0 then begin
-              if active land lnot next <> 0 then
-                begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-              run_body cbody ctx next;
-              let iters = iters + 1 in
-              if iters > max_loop_iters then
-                trap "kernel %s: loop exceeded %d iterations" kname
-                  max_loop_iters;
-              loop next iters
-            end
-          in
-          loop mask 0))
-  | _ -> None
-
-and compile_stmt_scalar env (s : Kir.stmt) (a : Site.ann) : cstmt =
-  let ws = env.ws in
+   once per warp around node-major predicate/init/step fragments; each
+   fragment compiles once and is replayed every iteration (temp slots are
+   fragment-local, memory slots are re-armed per run by [vclose]'s
+   set_slots). *)
+let rec compile_stmt env (s : Kir.stmt) (a : Site.ann) : cstmt =
   let sites = simple_sites a in
-  match s with
-  | Kir.Set (r, e) -> (
-    let n = float_of_int (nodes e) in
-    let ns = float_of_int (shfl_nodes e) in
-    let hm = has_mem e in
-    let te = compile_exp env e in
-    let base = r * ws in
-    match (env.rt.(r), te) with
-    | TI, I f ->
-      group ~n ~ns ~hm ~sites (fun ctx lane ->
-          Array.unsafe_set ctx.ireg (base + lane) (f ctx lane))
-    | TF, F f ->
-      group ~n ~ns ~hm ~sites (fun ctx lane ->
-          f ctx lane;
-          Array.unsafe_set ctx.freg (base + lane) (Array.unsafe_get ctx.facc 0))
-    | TB, B f ->
-      group ~n ~ns ~hm ~sites (fun ctx lane ->
-          Array.unsafe_set ctx.ireg (base + lane) (if f ctx lane then 1 else 0))
-    | _ -> fallback "register/expression type mismatch")
-  | Kir.Store_g (name, i, v) -> (
-    let n = float_of_int (1 + nodes i + nodes v) in
-    let ns = float_of_int (shfl_nodes i + shfl_nodes v) in
-    let entry = find_entry env name in
-    let fi = as_iexp (compile_exp env i) in
-    let base = entry.Memory.base and eb = entry.Memory.elem_bytes in
-    match entry.Memory.data with
-    | Ppat_ir.Host.F a ->
-      let fv = as_fexp (compile_exp env v) in
-      let len = Array.length a in
-      group ~n ~ns ~hm:true ~sites (fun ctx lane ->
-          let ix = fi ctx lane in
-          fv ctx lane;
-          let x = (Array.unsafe_get ctx.facc 0) in
-          Warp_access.record_global ctx.acc (base + (ix * eb));
-          if ix < 0 || ix >= len then
-            trap "store out of bounds: %s[%d] (len %d)" name ix len;
-          Array.unsafe_set a ix x)
-    | Ppat_ir.Host.I a ->
-      let fv = as_iexp (compile_exp env v) in
-      let len = Array.length a in
-      group ~n ~ns ~hm:true ~sites (fun ctx lane ->
-          let ix = fi ctx lane in
-          let x = fv ctx lane in
-          Warp_access.record_global ctx.acc (base + (ix * eb));
-          if ix < 0 || ix >= len then
-            trap "store out of bounds: %s[%d] (len %d)" name ix len;
-          Array.unsafe_set a ix x))
-  | Kir.Store_s (name, i, v) -> (
-    let n = float_of_int (1 + nodes i + nodes v) in
-    let ns = float_of_int (shfl_nodes i + shfl_nodes v) in
-    let fi = as_iexp (compile_exp env i) in
-    match List.assoc_opt name env.smem_env with
-    | None -> fallback "undeclared shared array %S" name
-    | Some (Sf (slot, len)) ->
-      let fv = as_fexp (compile_exp env v) in
-      group ~n ~ns ~hm:true ~sites (fun ctx lane ->
-          let ix = fi ctx lane in
-          fv ctx lane;
-          let x = (Array.unsafe_get ctx.facc 0) in
-          Warp_access.record_shared ctx.acc ix;
-          if ix < 0 || ix >= len then
-            trap "shared store out of bounds: %s[%d]" name ix;
-          Array.unsafe_set (Array.unsafe_get ctx.sf slot) ix x)
-    | Some (Si (slot, len)) ->
-      let fv = as_iexp (compile_exp env v) in
-      group ~n ~ns ~hm:true ~sites (fun ctx lane ->
-          let ix = fi ctx lane in
-          let x = fv ctx lane in
-          Warp_access.record_shared ctx.acc ix;
-          if ix < 0 || ix >= len then
-            trap "shared store out of bounds: %s[%d]" name ix;
-          Array.unsafe_set (Array.unsafe_get ctx.si slot) ix x))
-  | Kir.Atomic_add_g (name, i, v) -> (
-    let n = float_of_int (1 + nodes i + nodes v) in
-    let ns = float_of_int (shfl_nodes i + shfl_nodes v) in
-    let entry = find_entry env name in
-    let fi = as_iexp (compile_exp env i) in
-    let ops, asite = atomic_sites a in
-    match entry.Memory.data with
-    | Ppat_ir.Host.F a ->
-      let fv = as_fexp (compile_exp env v) in
-      let len = Array.length a in
-      let write ctx lane =
-        let ix = fi ctx lane in
-        fv ctx lane;
-        let x = (Array.unsafe_get ctx.facc 0) in
-        Warp_access.atomic_record ctx.acc ix;
-        if ix < 0 || ix >= len then
-          trap "load out of bounds: %s[%d] (len %d)" name ix len;
-        Array.unsafe_set a ix (Array.unsafe_get a ix +. x)
-      in
-      fun ctx mask ->
-        shfl_pre ns ctx mask;
-        bump ctx.stats n;
-        Warp_access.atomic_begin ctx.acc;
-        Warp_access.set_sites ctx.acc ops;
-        each_lane_rec write ctx mask 0;
-        Warp_access.flush ctx.acc;
-        Warp_access.atomic_commit ctx.acc asite entry
-    | Ppat_ir.Host.I a ->
-      let fv = as_iexp (compile_exp env v) in
-      let len = Array.length a in
-      let write ctx lane =
-        let ix = fi ctx lane in
-        let x = fv ctx lane in
-        Warp_access.atomic_record ctx.acc ix;
-        if ix < 0 || ix >= len then
-          trap "load out of bounds: %s[%d] (len %d)" name ix len;
-        Array.unsafe_set a ix (Array.unsafe_get a ix + x)
-      in
-      fun ctx mask ->
-        shfl_pre ns ctx mask;
-        bump ctx.stats n;
-        Warp_access.atomic_begin ctx.acc;
-        Warp_access.set_sites ctx.acc ops;
-        each_lane_rec write ctx mask 0;
-        Warp_access.flush ctx.acc;
-        Warp_access.atomic_commit ctx.acc asite entry)
-  | Kir.Atomic_add_ret { reg; buf; idx; value } -> (
-    let n = float_of_int (1 + nodes idx + nodes value) in
-    let ns = float_of_int (shfl_nodes idx + shfl_nodes value) in
-    let entry = find_entry env buf in
-    let fi = as_iexp (compile_exp env idx) in
-    let base = reg * ws in
-    let ops, asite = atomic_sites a in
-    match (entry.Memory.data, env.rt.(reg)) with
-    | Ppat_ir.Host.F a, TF ->
-      let fv = as_fexp (compile_exp env value) in
-      let len = Array.length a in
-      let write ctx lane =
-        let ix = fi ctx lane in
-        fv ctx lane;
-        let x = (Array.unsafe_get ctx.facc 0) in
-        Warp_access.atomic_record ctx.acc ix;
-        if ix < 0 || ix >= len then
-          trap "load out of bounds: %s[%d] (len %d)" buf ix len;
-        let old = Array.unsafe_get a ix in
-        Array.unsafe_set ctx.freg (base + lane) old;
-        Array.unsafe_set a ix (old +. x)
-      in
-      fun ctx mask ->
-        shfl_pre ns ctx mask;
-        bump ctx.stats n;
-        Warp_access.atomic_begin ctx.acc;
-        Warp_access.set_sites ctx.acc ops;
-        each_lane_rec write ctx mask 0;
-        Warp_access.flush ctx.acc;
-        Warp_access.atomic_commit ctx.acc asite entry
-    | Ppat_ir.Host.I a, TI ->
-      let fv = as_iexp (compile_exp env value) in
-      let len = Array.length a in
-      let write ctx lane =
-        let ix = fi ctx lane in
-        let x = fv ctx lane in
-        Warp_access.atomic_record ctx.acc ix;
-        if ix < 0 || ix >= len then
-          trap "load out of bounds: %s[%d] (len %d)" buf ix len;
-        let old = Array.unsafe_get a ix in
-        Array.unsafe_set ctx.ireg (base + lane) old;
-        Array.unsafe_set a ix (old + x)
-      in
-      fun ctx mask ->
-        shfl_pre ns ctx mask;
-        bump ctx.stats n;
-        Warp_access.atomic_begin ctx.acc;
-        Warp_access.set_sites ctx.acc ops;
-        each_lane_rec write ctx mask 0;
-        Warp_access.flush ctx.acc;
-        Warp_access.atomic_commit ctx.acc asite entry
-    | _ -> fallback "atomic return register type mismatch")
-  | Kir.If (c, t, e) ->
-    let csites, bsite, ta, ea =
-      match a with
-      | Site.A_if (cs, b, ta, ea) -> (cs, b, ta, ea)
-      | _ -> (Site.no_sites, -1, List.map (fun _ -> Site.A_none) t,
-              List.map (fun _ -> Site.A_none) e)
+  match s, a with
+  | Kir.Set (r, e), _ ->
+    let st = new_vstate env None in
+    let base = r * env.ws in
+    let fin =
+      match (env.rt.(r), vcompile_exp env st e) with
+      | TI, VI src | TB, VB src -> v_copy_i base src
+      | TF, VF src -> v_copy_f base src
+      | _ -> fallback "register/expression type mismatch"
     in
+    vstmt st sites ~n:(nodes e) ~ns:(shfl_nodes e) fin
+  | Kir.Store_g (name, i, v), _ ->
+    let entry = find_entry env name in
+    let st = new_vstate env (watch_of Warp_access.Global name [ i; v ]) in
+    let sidx = vint env st i in
+    let base = entry.Memory.base and eb = entry.Memory.elem_bytes in
+    let fin =
+      match entry.Memory.data with
+      | Ppat_ir.Host.F a ->
+        let sv = vfloat env st v in
+        let ms = valloc_slot st Warp_access.Global in
+        v_store_gf name a base eb ms sidx sv
+      | Ppat_ir.Host.I a ->
+        let sv = vint env st v in
+        let ms = valloc_slot st Warp_access.Global in
+        v_store_gi name a base eb ms sidx sv
+    in
+    vstmt st sites ~n:(1 + nodes i + nodes v)
+      ~ns:(shfl_nodes i + shfl_nodes v) ~idx:sidx fin
+  | Kir.Store_s (name, i, v), _ ->
+    let sref = smem_ref env name in
+    let st = new_vstate env (watch_of Warp_access.Shared name [ i; v ]) in
+    let sidx = vint env st i in
+    let fin =
+      match sref with
+      | Sf (slot, len) ->
+        let sv = vfloat env st v in
+        let ms = valloc_slot st Warp_access.Shared in
+        v_store_sf name slot len ms sidx sv
+      | Si (slot, len) ->
+        let sv = vint env st v in
+        let ms = valloc_slot st Warp_access.Shared in
+        v_store_si name slot len ms sidx sv
+    in
+    vstmt st sites ~n:(1 + nodes i + nodes v)
+      ~ns:(shfl_nodes i + shfl_nodes v) ~idx:sidx fin
+  | ( Kir.Atomic_add_g (buf, idx, value)
+    | Kir.Atomic_add_ret { buf; idx; value; _ } ),
+    _ ->
+    let ret_ty, rbase =
+      match s with
+      | Kir.Atomic_add_ret { reg; _ } ->
+        (* the reference engine's shuffles re-read a source lane's
+           register after that lane's atomic wrote it *)
+        if shfl_nodes idx + shfl_nodes value > 0 then
+          fallback "warp primitive in an atomic-return operand";
+        (Some env.rt.(reg), reg * env.ws)
+      | _ -> (None, -1)
+    in
+    let entry = find_entry env buf in
+    let st = new_vstate env (watch_of Warp_access.Global buf [ idx; value ]) in
+    let sidx = vint env st idx in
+    let fin =
+      match (entry.Memory.data, ret_ty) with
+      | Ppat_ir.Host.F a, (None | Some TF) ->
+        v_atomic_f buf a sidx (vfloat env st value) rbase
+      | Ppat_ir.Host.I a, (None | Some TI) ->
+        v_atomic_i buf a sidx (vint env st value) rbase
+      | _ -> fallback "atomic return register type mismatch"
+    in
+    vstmt st (fst (atomic_sites a)) ~n:(1 + nodes idx + nodes value)
+      ~ns:(shfl_nodes idx + shfl_nodes value) ~idx:sidx
+      ~atomic:(snd (atomic_sites a), entry) fin
+  | Kir.Sync, _ ->
+    let kname = env.k.Kir.kname in
+    fun ctx mask ->
+      if mask <> ctx.exists_mask then
+        trap "kernel %s: __syncthreads under divergent control flow" kname;
+      ctx.stats.Stats.syncs <- ctx.stats.Stats.syncs +. 1.;
+      ctx.stats.Stats.warp_insts <- ctx.stats.Stats.warp_insts +. 1.;
+      Effect.perform Sync_eff
+  | Kir.Malloc_event, _ ->
+    fun ctx mask ->
+      ctx.stats.Stats.mallocs <-
+        ctx.stats.Stats.mallocs +. float_of_int (popcount mask);
+      ctx.stats.Stats.warp_insts <- ctx.stats.Stats.warp_insts +. 1.
+  | Kir.If (c, t, e), Site.A_if (csites, bsite, ta, ea) ->
+    Ppat_metrics.Metrics.incr Engine_metrics.vector_ctl;
+    let st = new_vstate env None in
+    let src = vbool env st c in
     let n = float_of_int (nodes c) in
     let ns_c = float_of_int (shfl_nodes c) in
-    let hm = has_mem c in
-    let fc = as_bexp (compile_exp env c) in
-    let ct = Array.of_list (List.map2 (compile_stmt env) t ta) in
-    let ce = Array.of_list (List.map2 (compile_stmt env) e ea) in
+    let run = vclose st csites in
+    let ext = v_maskof src in
+    let ct = compile_stmts env t ta in
+    let ce = compile_stmts env e ea in
     let divergible = t <> [] || e <> [] in
     let has_else = e <> [] in
     fun ctx mask ->
       shfl_pre ns_c ctx mask;
       bump ctx.stats n;
-      if hm then Warp_access.set_sites ctx.acc csites;
-      let taken = pred_mask fc hm ctx mask 0 0 in
-      if hm then Warp_access.flush ctx.acc;
+      run ctx mask;
       (* every active lane lands in exactly one branch *)
+      let taken = ext ctx mask in
       let fall = mask land lnot taken in
       let bt = taken <> 0 and bf = fall <> 0 in
-      if bt && bf && divergible then
-        begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
+      if bt && bf && divergible then begin
+        ctx.stats.Stats.divergent_branches <-
+          ctx.stats.Stats.divergent_branches +. 1.;
+        if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
+      end;
       if bt then run_body ct ctx taken;
       if bf && has_else then run_body ce ctx fall
-  | Kir.For { reg; lo; hi; step; body } -> (
-    let los, his, sts, bsite, ba =
-      match a with
-      | Site.A_for (los, his, sts, b, ba) -> (los, his, sts, b, ba)
-      | _ ->
-        (Site.no_sites, Site.no_sites, Site.no_sites, -1,
-         List.map (fun _ -> Site.A_none) body)
+  | Kir.For { reg; lo; hi; step; body }, Site.A_for (los, his, sts, bsite, ba)
+    ->
+    Ppat_metrics.Metrics.incr Engine_metrics.vector_ctl;
+    let base = reg * env.ws in
+    let kname = env.k.Kir.kname in
+    (* init, bound and step fragments; the bound is compared and the step
+       added by the loop nodes themselves *)
+    let fragment e sites operand emit =
+      let st = new_vstate env None in
+      let src = operand (vcompile_exp env st e) in
+      Option.iter (fun f -> vemit st (f src)) emit;
+      (src, vclose st sites)
     in
+    let init, condr, cond_ext, stepf =
+      match env.rt.(reg) with
+      | TB -> fallback "boolean loop counter"
+      | TI ->
+        let operand = function
+          | VI s -> s
+          | _ -> fallback "integer expression expected"
+        in
+        let _, init = fragment lo los operand (Some (v_copy_i base)) in
+        let s_hi, condr = fragment hi his operand None in
+        let _, stepf = fragment step sts operand (Some (v_iaddreg base)) in
+        (init, condr, v_iltmask base s_hi, stepf)
+      | TF ->
+        let operand = function
+          | VF s -> s
+          | _ -> fallback "float expression expected"
+        in
+        let _, init = fragment lo los operand (Some (v_copy_f base)) in
+        let s_hi, condr = fragment hi his operand None in
+        let _, stepf = fragment step sts operand (Some (v_faddreg base)) in
+        (init, condr, v_fltmask base s_hi, stepf)
+    in
+    let cbody = compile_stmts env body ba in
     let n_lo = float_of_int (nodes lo) in
-    let hm_lo = has_mem lo in
     let n_cond = float_of_int (nodes hi + 1) in
-    let hm_hi = has_mem hi in
     let n_step = float_of_int (nodes step + 1) in
-    let hm_step = has_mem step in
     let ns_lo = float_of_int (shfl_nodes lo) in
     let ns_cond = float_of_int (shfl_nodes hi) in
     let ns_step = float_of_int (shfl_nodes step) in
-    let cbody = Array.of_list (List.map2 (compile_stmt env) body ba) in
-    let base = reg * ws in
-    let kname = env.k.Kir.kname in
-    let loop_guard iters =
-      if iters > max_loop_iters then
-        trap "kernel %s: loop exceeded %d iterations" kname max_loop_iters
-    in
-    match env.rt.(reg) with
-    | TI ->
-      let flo = strict_i (compile_exp env lo) in
-      let fhi = strict_i (compile_exp env hi) in
-      let fstep = strict_i (compile_exp env step) in
-      let winit ctx lane =
-        Array.unsafe_set ctx.ireg (base + lane) (flo ctx lane)
-      in
-      let cond ctx lane =
-        let h = fhi ctx lane in
-        Array.unsafe_get ctx.ireg (base + lane) < h
-      in
-      let wstep ctx lane =
-        let s = fstep ctx lane in
-        Array.unsafe_set ctx.ireg (base + lane)
-          (Array.unsafe_get ctx.ireg (base + lane) + s)
-      in
-      fun ctx mask ->
-        shfl_pre ns_lo ctx mask;
-        bump ctx.stats n_lo;
-        if hm_lo then begin
-          Warp_access.set_sites ctx.acc los;
-          each_lane_rec winit ctx mask 0;
-          Warp_access.flush ctx.acc
+    fun ctx mask ->
+      shfl_pre ns_lo ctx mask;
+      bump ctx.stats n_lo;
+      init ctx mask;
+      let rec loop active iters =
+        shfl_pre ns_cond ctx active;
+        bump ctx.stats n_cond;
+        condr ctx active;
+        let next = cond_ext ctx active in
+        if next <> 0 then begin
+          if active land lnot next <> 0 then begin
+            ctx.stats.Stats.divergent_branches <-
+              ctx.stats.Stats.divergent_branches +. 1.;
+            if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
+          end;
+          run_body cbody ctx next;
+          shfl_pre ns_step ctx next;
+          bump ctx.stats n_step;
+          stepf ctx next;
+          let iters = iters + 1 in
+          if iters > max_loop_iters then
+            trap "kernel %s: loop exceeded %d iterations" kname max_loop_iters;
+          loop next iters
         end
-        else each_lane winit ctx mask 0;
-        let rec loop active iters =
-          shfl_pre ns_cond ctx active;
-          bump ctx.stats n_cond;
-          if hm_hi then Warp_access.set_sites ctx.acc his;
-          let next = pred_mask cond hm_hi ctx active 0 0 in
-          if hm_hi then Warp_access.flush ctx.acc;
-          if next <> 0 then begin
-            if active land lnot next <> 0 then
-              begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-            run_body cbody ctx next;
-            shfl_pre ns_step ctx next;
-            bump ctx.stats n_step;
-            if hm_step then begin
-              Warp_access.set_sites ctx.acc sts;
-              each_lane_rec wstep ctx next 0;
-              Warp_access.flush ctx.acc
-            end
-            else each_lane wstep ctx next 0;
-            let iters = iters + 1 in
-            loop_guard iters;
-            loop next iters
-          end
-        in
-        loop mask 0
-    | TF ->
-      let flo = strict_f (compile_exp env lo) in
-      let fhi = strict_f (compile_exp env hi) in
-      let fstep = strict_f (compile_exp env step) in
-      let winit ctx lane =
-        flo ctx lane;
-        Array.unsafe_set ctx.freg (base + lane) (Array.unsafe_get ctx.facc 0)
       in
-      let cond ctx lane =
-        fhi ctx lane;
-        Float.compare (Array.unsafe_get ctx.freg (base + lane)) (Array.unsafe_get ctx.facc 0) < 0
-      in
-      let wstep ctx lane =
-        fstep ctx lane;
-        Array.unsafe_set ctx.freg (base + lane)
-          (Array.unsafe_get ctx.freg (base + lane) +. (Array.unsafe_get ctx.facc 0))
-      in
-      fun ctx mask ->
-        shfl_pre ns_lo ctx mask;
-        bump ctx.stats n_lo;
-        if hm_lo then begin
-          Warp_access.set_sites ctx.acc los;
-          each_lane_rec winit ctx mask 0;
-          Warp_access.flush ctx.acc
-        end
-        else each_lane winit ctx mask 0;
-        let rec loop active iters =
-          shfl_pre ns_cond ctx active;
-          bump ctx.stats n_cond;
-          if hm_hi then Warp_access.set_sites ctx.acc his;
-          let next = pred_mask cond hm_hi ctx active 0 0 in
-          if hm_hi then Warp_access.flush ctx.acc;
-          if next <> 0 then begin
-            if active land lnot next <> 0 then
-              begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
-            run_body cbody ctx next;
-            shfl_pre ns_step ctx next;
-            bump ctx.stats n_step;
-            if hm_step then begin
-              Warp_access.set_sites ctx.acc sts;
-              each_lane_rec wstep ctx next 0;
-              Warp_access.flush ctx.acc
-            end
-            else each_lane wstep ctx next 0;
-            let iters = iters + 1 in
-            loop_guard iters;
-            loop next iters
-          end
-        in
-        loop mask 0
-    | TB -> fallback "boolean loop counter")
-  | Kir.While (c, body) ->
-    let csites, bsite, ba =
-      match a with
-      | Site.A_while (cs, b, ba) -> (cs, b, ba)
-      | _ -> (Site.no_sites, -1, List.map (fun _ -> Site.A_none) body)
-    in
+      loop mask 0
+  | Kir.While (c, body), Site.A_while (csites, bsite, ba) ->
+    Ppat_metrics.Metrics.incr Engine_metrics.vector_ctl;
+    let st = new_vstate env None in
+    let src = vbool env st c in
     let n_c = float_of_int (nodes c) in
     let ns_c = float_of_int (shfl_nodes c) in
-    let hm_c = has_mem c in
-    let fc = as_bexp (compile_exp env c) in
-    let cbody = Array.of_list (List.map2 (compile_stmt env) body ba) in
+    let run = vclose st csites in
+    let ext = v_maskof src in
+    let cbody = compile_stmts env body ba in
     let kname = env.k.Kir.kname in
     fun ctx mask ->
       let rec loop active iters =
         shfl_pre ns_c ctx active;
         bump ctx.stats n_c;
-        if hm_c then Warp_access.set_sites ctx.acc csites;
-        let next = pred_mask fc hm_c ctx active 0 0 in
-        if hm_c then Warp_access.flush ctx.acc;
+        run ctx active;
+        let next = ext ctx active in
         if next <> 0 then begin
-          if active land lnot next <> 0 then
-            begin
-              ctx.stats.Stats.divergent_branches <-
-                ctx.stats.Stats.divergent_branches +. 1.;
-              if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
-            end;
+          if active land lnot next <> 0 then begin
+            ctx.stats.Stats.divergent_branches <-
+              ctx.stats.Stats.divergent_branches +. 1.;
+            if ctx.attr_on then Warp_access.attr_divergent ctx.acc bsite
+          end;
           run_body cbody ctx next;
           let iters = iters + 1 in
           if iters > max_loop_iters then
@@ -2985,22 +2154,12 @@ and compile_stmt_scalar env (s : Kir.stmt) (a : Site.ann) : cstmt =
         end
       in
       loop mask 0
-  | Kir.Sync ->
-    let kname = env.k.Kir.kname in
-    fun ctx mask ->
-      if mask <> ctx.exists_mask then
-        trap "kernel %s: __syncthreads under divergent control flow" kname;
-      ctx.stats.Stats.syncs <- ctx.stats.Stats.syncs +. 1.;
-      ctx.stats.Stats.warp_insts <- ctx.stats.Stats.warp_insts +. 1.;
-      Effect.perform Sync_eff
-  | Kir.Malloc_event ->
-    fun ctx mask ->
-      ctx.stats.Stats.mallocs <-
-        ctx.stats.Stats.mallocs +. float_of_int (popcount mask);
-      ctx.stats.Stats.warp_insts <- ctx.stats.Stats.warp_insts +. 1.
+  | (Kir.If _ | Kir.For _ | Kir.While _), _ ->
+    fallback "site annotation shape mismatch"
 
 and compile_stmts env l anns =
   Array.of_list (List.map2 (compile_stmt env) l anns)
+
 
 (* ----- entry points ----- *)
 
@@ -3133,7 +2292,6 @@ let execute ?(jobs = 1) ?attr dev (c : t) : Stats.t =
             exists_mask = !exists;
             cmask = 0;
             attr_on = Option.is_some attr;
-            facc = [| 0. |];
             acc;
             stats;
             sf;

@@ -1,20 +1,22 @@
 (** Closure-compiling execution engine for the kernel IR.
 
-    [compile] stages a launch once into a tree of OCaml closures over
-    unboxed per-warp lane state: register types are inferred statically
-    and split into [int array] / [float array] register files, buffer
-    names resolve to their {!Ppat_gpu.Memory.entry} at compile time,
-    launch geometry and kernel parameters fold to constants, and
-    per-statement instruction counts are precomputed. [execute] then runs
-    the closure tree over the whole grid.
+    [compile] stages a launch once into OCaml closures over unboxed
+    per-warp lane state: register types are inferred statically and split
+    into [int array] / [float array] register files, buffer names resolve
+    to their {!Ppat_gpu.Memory.entry} at compile time, launch geometry and
+    kernel parameters fold to constants, per-statement instruction counts
+    are precomputed, and every statement is staged node-major (one
+    closure per expression node, looping over the warp's active lanes).
+    [execute] then runs the closures over the whole grid.
 
     The engine is faithful by construction or not at all: statistics and
     output buffers are bit-identical with [Interp]'s reference
     tree-walker (both price memory through {!Ppat_gpu.Warp_access}), and
     any kernel whose semantics the static analysis cannot prove —
     mixed-type arithmetic, a possibly-undefined register read, an unbound
-    name — is rejected with [Error], letting the driver fall back to the
-    reference engine, which reproduces the exact dynamic trap. *)
+    name, a warp-primitive operand that reads memory — is rejected with
+    [Error], letting the driver run the launch on the reference engine,
+    which reproduces the exact dynamic trap. *)
 
 type t
 (** A launch compiled against a specific device and memory image. The

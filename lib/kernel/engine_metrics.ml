@@ -11,16 +11,15 @@ let parallel_fallbacks = M.counter "engine.parallel_fallbacks"
 (* launches that requested jobs > 1 but ran serially (global atomics) *)
 
 let vector_stmts = M.counter "staging.vector_stmts"
-(* straight-line statements staged through the node-major vector path *)
-
-let scalar_stmts = M.counter "staging.scalar_stmts"
-(* straight-line statements that fell back to the lane-major scalar path *)
+(* straight-line statements staged node-major *)
 
 let vector_ctl = M.counter "staging.vector_ctl"
-(* control-flow constructs staged with vectorised header fragments *)
+(* control-flow constructs staged with node-major header fragments *)
 
-let scalar_ctl = M.counter "staging.scalar_ctl"
-(* control-flow constructs staged on the scalar path *)
+let lane_replays = M.counter "engine.lane_replays"
+(* warp statements the compiled engine re-ran lane by lane because a
+   lane's write was visible to a later lane's load (or the node-major
+   pass trapped) *)
 
 let replayed_l2_lines = M.counter "pool.replayed_l2_lines"
 (* transaction lines settled against the sliced L2 at chunk-merge time *)

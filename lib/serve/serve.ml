@@ -112,6 +112,7 @@ let params_field j =
     List.map
       (fun (k, v) ->
         match Jsonx.to_int v with
+        | Some n when n < 0 -> fail "parameter %S must be non-negative, got %d" k n
         | Some n -> (k, n)
         | None -> fail "parameter %S must be an integer" k)
       fields

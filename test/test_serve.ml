@@ -280,8 +280,21 @@ let test_protocol_ops () =
       ("bad json", "{nope");
       ("unknown app", {|{"app":"no_such_app"}|});
       ("unknown param", {|{"app":"sum_rows","params":{"bogus":1}}|});
+      ("negative param", {|{"app":"sum_rows","params":{"R":-5}}|});
       ("unknown op", {|{"op":"frobnicate"}|});
-    ]
+    ];
+  (* a negative size is refused by name before it reaches the pipeline *)
+  let resp, _ =
+    Serve.handle_line server {|{"app":"sum_rows","params":{"R":-5}}|}
+  in
+  match get [ "error" ] (parse_resp "negative param" resp) with
+  | Some (J.Str e) ->
+    Alcotest.(check bool)
+      (Printf.sprintf "negative param named (got %S)" e)
+      true
+      (Astring_like.contains e {|"R"|}
+      && Astring_like.contains e "non-negative")
+  | _ -> Alcotest.failf "negative param: expected an error, got %s" resp
 
 let test_protocol_batch () =
   let server = Serve.create () in
