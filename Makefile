@@ -1,6 +1,6 @@
 # Tier-1 verification plus a smoke run of the observability path itself.
 
-.PHONY: all build test smoke engines cost-models parallel bench-smoke report serve racecheck sweep bench-diff check bench bench-json clean
+.PHONY: all build test smoke engines cost-models parallel bench-smoke report serve racecheck sweep check bench clean
 
 all: build
 
@@ -26,13 +26,14 @@ engines: build
 	PPAT_ENGINE=reference dune exec test/main.exe -- test engine > /dev/null
 	@echo "engines: differential suite OK under both defaults"
 
-# one cheap end-to-end bench invocation per engine (no JSON, tiny subset is
-# not supported, so reuse the profile path which runs a real simulation),
-# then every malformed flag value, unknown figure or unwritable output path
-# must fail as a named usage error (exit 2), never as an uncaught exception
+# one cheap validated run per engine and one figure on two pool domains,
+# then every unknown app, unknown or misplaced flag, malformed flag value,
+# unknown figure or unwritable output path must fail as a named usage error
+# (exit 2), never as an uncaught exception
 bench-smoke: build
 	dune exec bin/ppat.exe -- run sum_rows --engine compiled > /dev/null
 	dune exec bin/ppat.exe -- run sum_rows --engine reference > /dev/null
+	dune exec bin/ppat.exe -- figures fig3 --jobs 2 > /dev/null
 	@for args in "bin/ppat.exe -- run sum_rows -s bogus" \
 	    "bin/ppat.exe -- run sum_rows --engine bogus" \
 	    "bin/ppat.exe -- run sum_rows --cost-model bogus" \
@@ -42,14 +43,22 @@ bench-smoke: build
 	    "bin/ppat.exe -- profile sum_rows --chrome-trace /nonexistent/x.json" \
 	    "bin/ppat.exe -- report sum_rows --json /nonexistent/x.json" \
 	    "bin/ppat.exe -- trace-search sum_rows --json /nonexistent/x.json" \
-	    "bench/main.exe -- --sim-jobs x"; do \
+	    "bin/ppat.exe -- run nosuchapp" \
+	    "bin/ppat.exe -- explain nosuchapp" \
+	    "bin/ppat.exe -- racecheck nosuchapp" \
+	    "bin/ppat.exe -- run sum_rows --bogus" \
+	    "bin/ppat.exe -- cuda sum_rows --bogus" \
+	    "bin/ppat.exe -- run sum_rows --json /tmp/ppat_usage_out.json" \
+	    "bin/ppat.exe -- report sum_rows --chrome-trace /tmp/ppat_usage_out.json" \
+	    "bin/ppat.exe -- explain sum_rows extra" \
+	    "bin/ppat.exe -- figures --jobs 0"; do \
 	  dune exec $$args > /dev/null 2> /tmp/ppat_usage_err.txt; code=$$?; \
 	  if [ $$code -ne 2 ] || grep -q "Fatal error" /tmp/ppat_usage_err.txt; then \
 	    echo "bench-smoke: '$$args' exited $$code, want a usage error (2):"; \
 	    cat /tmp/ppat_usage_err.txt; exit 1; \
 	  fi; \
 	done
-	@echo "bench-smoke: both engines validate sum_rows; bad flag values, figures and paths exit 2"
+	@echo "bench-smoke: both engines validate sum_rows; fig3 OK on 2 jobs; bad apps, flags, figures and paths exit 2"
 
 # tier-1 under both cost-model defaults (mapping-specific assertions pin
 # Soft explicitly, everything else must hold under any model), plus a
@@ -111,8 +120,8 @@ racecheck: build
 # Each invocation asserts internally that every shape was staged exactly
 # once (via the sweep.* metrics) and exits non-zero if calibrating the
 # analytical predictor worsens its regret on that app. Budgets are sized
-# so the whole target stays a few minutes; the full >= 200-candidate
-# bit-identity evidence lives in the bench --sweep trajectory below.
+# so the whole target stays a few minutes; whole >= 200-candidate spaces
+# are pinned by the sweep digests of test/test_golden.ml.
 sweep: build
 	dune exec bin/ppat.exe -- sweep sum_rows --budget 64 --jobs 4 > /dev/null
 	dune exec bin/ppat.exe -- sweep sum_cols --budget 64 --jobs 4 > /dev/null
@@ -122,37 +131,12 @@ sweep: build
 	dune exec bin/ppat.exe -- sweep msm_cluster --budget 16 --jobs 4 > /dev/null
 	@echo "sweep: stage-once metrics hold and calibration never worsens regret on any bench app"
 
-# bench regression gate: regenerate the perf trajectory (single app worker
-# so wall clocks are undistorted) and diff it against the frozen artifact
-# of the previous PR — once with default lowering and once with shuffle
-# synthesis on. Fails on a >10% (and >50 ms) per-app sim-wall regression
-# or on any simulator-statistic drift.
-bench-diff: build
-	dune exec bench/main.exe -- -j 1 --best-of 3 --json /tmp/ppat_bench_gate.json
-	dune exec bench/main.exe -- --compare BENCH_pr9_baseline.json /tmp/ppat_bench_gate.json
-	PPAT_SHUFFLE=1 dune exec bench/main.exe -- -j 1 --best-of 3 --json /tmp/ppat_bench_shfl_gate.json
-	dune exec bench/main.exe -- --compare BENCH_pr9.json /tmp/ppat_bench_shfl_gate.json
-	dune exec bench/main.exe -- --serve 200 --zipf 1.1 --json /tmp/ppat_serve_gate.json
-	dune exec bench/main.exe -- --compare BENCH_pr9_serve_baseline.json /tmp/ppat_serve_gate.json
-	dune exec bench/main.exe -- --sweep -j 4 --json /tmp/ppat_sweep_gate.json
-	dune exec bench/main.exe -- --compare BENCH_pr9_sweep.json /tmp/ppat_sweep_gate.json
+check: build test smoke engines cost-models parallel bench-smoke report serve racecheck sweep
 
-check: build test smoke engines cost-models parallel bench-smoke report serve racecheck sweep bench-diff
-
+# the repository benchmark (perfbench/README.md): the classic suite
+# workload, end-to-end and per-layer metrics on this host
 bench:
-	dune exec bench/main.exe -- --json BENCH_run.json
-
-# fresh trajectories of every bench mode, written to gitignored
-# BENCH_run_*.json files (single app worker so the per-app wall clocks
-# are not distorted by co-scheduling). The committed BENCH_pr*.json
-# artifacts are frozen runs that bench-diff gates against; they are
-# never regenerated here — copy a run over one by hand to re-freeze it.
-bench-json: build
-	dune exec bench/main.exe -- -j 1 --best-of 3 --json BENCH_run_classic.json
-	PPAT_SHUFFLE=1 dune exec bench/main.exe -- -j 1 --best-of 3 --json BENCH_run_shuffle.json
-	dune exec bench/main.exe -- --serve 200 --zipf 1.1 --no-cache --json BENCH_run_serve_cold.json
-	dune exec bench/main.exe -- --serve 200 --zipf 1.1 --json BENCH_run_serve.json
-	dune exec bench/main.exe -- --sweep -j 4 --json BENCH_run_sweep.json
+	bash perfbench/run.sh --workload suite
 
 clean:
 	dune clean

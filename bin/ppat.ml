@@ -31,6 +31,7 @@ let usage_error msg =
 
 let or_usage = function Ok v -> v | Error e -> usage_error e
 let pos_int flag n = or_usage (Ppat_gpu.Tuning.parse_pos_int ~name:flag n)
+let jobs_flag n = min (pos_int "--jobs" n) Ppat_parallel.max_jobs
 
 (* an output-file flag must name a writable file. Checked before the run
    (a probe file is created and removed again), so a bad path neither
@@ -46,12 +47,12 @@ let output_file flag f =
    with Sys_error e -> usage_error (Printf.sprintf "%s: cannot write %s" flag e));
   f
 
-let find_app name =
+let app_ctor name =
   match List.assoc_opt name registry with
-  | Some mk -> mk ()
-  | None ->
-    Format.eprintf "unknown app %S; try 'ppat list'@." name;
-    exit 1
+  | Some mk -> mk
+  | None -> usage_error (Printf.sprintf "unknown app %S; try 'ppat list'" name)
+
+let find_app name = app_ctor name ()
 
 let cmd_list () =
   Format.printf "bundled applications:@.";
@@ -150,7 +151,8 @@ let cmd_report name strat engine model sim_jobs json =
          run);
     Format.printf "wrote JSON profile to %s@." f
 
-(* iterate launches of the program once, for cuda/explain/modelcmp *)
+(* iterate launches of the program once, for trace-search, cuda, explain
+   and racecheck *)
 let iter_launches (app : A.App.t) f =
   let seen = ref [] in
   let rec step = function
@@ -209,95 +211,29 @@ let cmd_trace_search name strat model json =
 (* ----- modelcmp: rank the mapping space under every cost model and
    compare the rankings against simulator ground truth ----- *)
 
-(* descending-lexicographic comparison of ranking keys; stable sort keeps
-   enumeration order on full ties, matching the search's first-wins rule *)
-let key_compare (a : Cost_model.eval) (b : Cost_model.eval) =
-  let n = min (Array.length a.key) (Array.length b.key) in
-  let rec go i =
-    if i >= n then 0
-    else match compare b.key.(i) a.key.(i) with 0 -> go (i + 1) | c -> c
-  in
-  go 0
-
-(* candidate space shared by modelcmp and sweep: per-pattern collections,
-   soft-auto base mappings for the non-target patterns, and the target
-   pattern — the one with the richest hard-feasible mapping space — with
-   its candidates deduped by canonical mapping key (the search can reach
-   one mapping through several enumeration moves; simulating it twice
-   would double-count the sample) *)
+(* the candidate space modelcmp and sweep evaluate, unpacked; exits when
+   the target pattern has no hard-feasible mapping to compare *)
 let target_space (app : A.App.t) =
-  let ap = Ppat_harness.Runner.analysis_params app.prog app.params in
-  let pats = ref [] in
-  iter_launches app (fun n ->
-      let c =
-        Ppat_core.Collect.collect ~params:ap ?bind:n.Ppat_ir.Pat.bind dev
-          app.prog n.Ppat_ir.Pat.pat
-      in
-      pats :=
-        (n.pat.Ppat_ir.Pat.pid, n.pat.Ppat_ir.Pat.label, c) :: !pats);
-  let pats = List.rev !pats in
-  if pats = [] then begin
-    Format.eprintf "%s has no launches@." app.A.App.name;
+  let ts = Ppat_harness.Runner.target_space ~params:app.params dev app.prog in
+  let t = ts.ts_target.pat in
+  if ts.ts_candidates = [||] then begin
+    Format.eprintf "no hard-feasible candidate mappings for %s@." t.label;
     exit 1
   end;
-  (* non-target patterns keep their soft-model auto mapping, so candidate
-     mappings of the target are the only variable between simulations *)
-  let base =
-    List.map
-      (fun (pid, _, c) ->
-        ( pid,
-          (Ppat_core.Strategy.decide ~model:Cost_model.Soft dev c
-             Ppat_core.Strategy.Auto)
-            .Ppat_core.Strategy.mapping ))
-      pats
-  in
-  let tpid, tlabel, tc, cands =
-    List.fold_left
-      (fun (bp, bl, bc, bm) (pid, label, c) ->
-        let ms =
-          List.map fst (Ppat_core.Search.enumerate ~model:Cost_model.Soft dev c)
-        in
-        if List.length ms > List.length bm then (pid, label, c, ms)
-        else (bp, bl, bc, bm))
-      (-1, "", (let _, _, c = List.hd pats in c), [])
-      pats
-  in
-  let seen = Hashtbl.create 64 in
-  let unique, dupes =
-    List.fold_left
-      (fun (acc, d) (m : Ppat_core.Mapping.t) ->
-        let k = Digest.string (Marshal.to_string m []) in
-        if Hashtbl.mem seen k then (acc, d + 1)
-        else begin
-          Hashtbl.add seen k ();
-          (m :: acc, d)
-        end)
-      ([], 0) cands
-  in
-  (base, tpid, tlabel, tc, Array.of_list (List.rev unique), dupes)
+  (ts.ts_base, t.pid, t.label, ts.ts_collect, ts.ts_candidates, ts.ts_duplicates)
 
 let cmd_modelcmp name engine top json =
   let app = find_app name in
   let data = A.App.input_data app in
   let base, tpid, tlabel, tc, cands, dupes = target_space app in
   let n = Array.length cands in
-  if n = 0 then begin
-    Format.eprintf "no hard-feasible candidate mappings for %s@." tlabel;
-    exit 1
-  end;
   (* rank the whole space under each model: array of candidate indices in
      rank order, plus each candidate's eval under that model *)
   let rankings =
     List.map
       (fun model ->
-        let evals =
-          Array.map (fun m -> Cost_model.evaluate model dev tc m) cands
-        in
-        let order = Array.init n (fun i -> i) |> Array.to_list in
-        let order =
-          List.stable_sort (fun i j -> key_compare evals.(i) evals.(j)) order
-        in
-        (model, evals, Array.of_list order))
+        let evals, order = Cost_model.rank model dev tc cands in
+        (model, evals, order))
       Cost_model.all
   in
   (* simulate the union of every model's top-k plus a strided sample of
@@ -472,23 +408,11 @@ let cmd_sweep name engine sim_jobs jobs budget json =
   let data = A.App.input_data app in
   let base, tpid, tlabel, tc, cands, dupes = target_space app in
   let n = Array.length cands in
-  if n = 0 then begin
-    Format.eprintf "no hard-feasible candidate mappings for %s@." tlabel;
-    exit 1
-  end;
   (* rank the whole population under a model; [calib] re-ranks after the
      calibration fit (a positive-gain affine map must not change ranks —
      the gate below holds the loop to that) *)
   let rank_of ?calib model =
-    let evals =
-      Array.map (fun m -> Cost_model.evaluate ?calib model dev tc m) cands
-    in
-    let order =
-      List.stable_sort
-        (fun i j -> key_compare evals.(i) evals.(j))
-        (List.init n (fun i -> i))
-    in
-    let order = Array.of_list order in
+    let evals, order = Cost_model.rank ?calib model dev tc cands in
     let pos = Array.make n 0 in
     Array.iteri (fun rank i -> pos.(i) <- rank) order;
     (evals, order, pos)
@@ -790,10 +714,12 @@ let cmd_racecheck rest =
   let names =
     if !all || !names = [] then List.map fst registry else List.rev !names
   in
+  (* every name is checked before any app is staged *)
+  let apps = List.map (fun name -> (name, app_ctor name)) names in
   let bad = ref 0 and kernels = ref 0 in
   List.iter
-    (fun name ->
-      let app = find_app name in
+    (fun (name, mk) ->
+      let app : A.App.t = mk () in
       let params =
         Ppat_harness.Runner.analysis_params app.prog app.params
       in
@@ -823,11 +749,13 @@ let cmd_racecheck rest =
               lowered.launches
           | exception Ppat_codegen.Lower.Unsupported e ->
             Format.printf "  %s: unsupported (%s)@." n.pat.label e))
-    names;
+    apps;
   Format.printf "racecheck: %d kernel(s), %d flagged@." !kernels !bad;
   if !bad > 0 then exit 1
 
-let cmd_figures names =
+(* figures fan out over [jobs] pool domains; each one's output is
+   captured on its worker and printed whole, in the order asked for *)
+let cmd_figures ~jobs names =
   let all = A.Experiments.all dev in
   let selected = if names = [] then List.map fst all else names in
   (* every name is checked before any figure runs *)
@@ -838,7 +766,18 @@ let cmd_figures names =
           (Printf.sprintf "figures: unknown figure %S (known: %s)" name
              (String.concat ", " (List.map fst all))))
     selected;
-  List.iter (fun name -> (List.assoc name all) ()) selected
+  Format.printf
+    "Reproducing the evaluation of 'Locality-Aware Mapping of Nested \
+     Parallel Patterns on GPUs' (MICRO 2014)@.on a simulated %s@."
+    dev.Ppat_gpu.Device.dname;
+  let tasks = Array.of_list selected in
+  Ppat_parallel.pool_run ~jobs (Array.length tasks) (fun i ->
+      let t0 = Unix.gettimeofday () in
+      let out = Ppat_parallel.with_captured (List.assoc tasks.(i) all) in
+      Printf.sprintf "%s  (%s regenerated in %.1f s of simulation)\n" out
+        tasks.(i)
+        (Unix.gettimeofday () -. t0))
+  |> Array.iter print_string
 
 (* ppat serve [--jobs N] [--socket PATH] [--plan-cache N] [--memo-cache N]
    — the persistent mapping service: line-delimited JSON requests on
@@ -913,7 +852,9 @@ let usage () =
      \                            divergence check over the staged kernels\n\
      \  cuda APP                  print generated CUDA kernels\n\
      \  explain APP               constraints and mapping decisions\n\
-     \  figures [FIG...]          regenerate paper figures (fig3, fig12..fig17, ablation)\n\
+     \  figures [FIG...] [--jobs N]\n\
+     \                            regenerate paper figures (fig3, fig12..fig17,\n\
+     \                            ablation), N at a time (default: one per core)\n\
      \  --engine compiled|reference selects the SIMT execution engine\n\
      \                            (default: compiled, or $PPAT_ENGINE)\n\
      \  --cost-model soft|analytical|hybrid selects the search cost model\n\
@@ -980,15 +921,13 @@ let parse_flags rest =
       top := pos_int "--top" k;
       go rest
     | "--jobs" :: n :: rest ->
-      jobs := min (pos_int "--jobs" n) Ppat_parallel.max_jobs;
+      jobs := jobs_flag n;
       go rest
     | "--budget" :: n :: rest ->
       budget := pos_int "--budget" n;
       go rest
     | arg :: _ ->
-      Format.eprintf "unexpected argument %S@." arg;
-      usage ();
-      exit 1
+      usage_error (Printf.sprintf "unexpected argument %S; run 'ppat' for usage" arg)
   in
   go rest;
   {
@@ -1003,15 +942,20 @@ let parse_flags rest =
     f_budget = !budget;
   }
 
+(* a flag the command parses but does not use is a usage error *)
+let reject_output cmd f ~json =
+  if json && f.f_json <> None then
+    usage_error (Printf.sprintf "%s: --json is not accepted; see 'profile'" cmd);
+  if f.f_chrome <> None then
+    usage_error
+      (Printf.sprintf "%s: --chrome-trace applies to 'profile' only" cmd)
+
 let () =
   match Array.to_list Sys.argv with
   | _ :: "list" :: _ -> cmd_list ()
   | _ :: "run" :: name :: rest ->
     let f = parse_flags rest in
-    if f.f_json <> None || f.f_chrome <> None then begin
-      Format.eprintf "--json/--chrome-trace apply to 'profile' only@.";
-      exit 1
-    end;
+    reject_output "run" f ~json:true;
     cmd_run name f.f_strat f.f_engine f.f_model f.f_sim_jobs
   | _ :: "profile" :: name :: rest ->
     let f = parse_flags rest in
@@ -1019,39 +963,39 @@ let () =
       f.f_chrome
   | _ :: "report" :: name :: rest ->
     let f = parse_flags rest in
-    if f.f_chrome <> None then begin
-      Format.eprintf "--chrome-trace applies to 'profile' only@.";
-      exit 1
-    end;
+    reject_output "report" f ~json:false;
     cmd_report name f.f_strat f.f_engine f.f_model f.f_sim_jobs f.f_json
   | _ :: "trace-search" :: name :: rest ->
     let f = parse_flags rest in
-    if f.f_chrome <> None then begin
-      Format.eprintf "--chrome-trace applies to 'profile' only@.";
-      exit 1
-    end;
+    reject_output "trace-search" f ~json:false;
     cmd_trace_search name f.f_strat f.f_model f.f_json
   | _ :: "modelcmp" :: name :: rest ->
     let f = parse_flags rest in
-    if f.f_chrome <> None then begin
-      Format.eprintf "--chrome-trace applies to 'profile' only@.";
-      exit 1
-    end;
+    reject_output "modelcmp" f ~json:false;
     cmd_modelcmp name f.f_engine f.f_top f.f_json
   | _ :: "sweep" :: name :: rest ->
     let f = parse_flags rest in
-    if f.f_chrome <> None then begin
-      Format.eprintf "--chrome-trace applies to 'profile' only@.";
-      exit 1
-    end;
+    reject_output "sweep" f ~json:false;
     cmd_sweep name f.f_engine f.f_sim_jobs f.f_jobs f.f_budget f.f_json
   | _ :: "serve" :: rest -> cmd_serve rest
   | _ :: "racecheck" :: rest -> cmd_racecheck rest
   | _ :: "cuda" :: name :: rest ->
     let _ = parse_flags rest in
     cmd_cuda name
-  | _ :: "explain" :: name :: _ -> cmd_explain name
-  | _ :: "figures" :: names -> cmd_figures names
+  | [ _; "explain"; name ] -> cmd_explain name
+  | _ :: "explain" :: _ :: arg :: _ ->
+    usage_error (Printf.sprintf "explain: unexpected argument %S" arg)
+  | _ :: "figures" :: rest ->
+    let jobs = ref (Ppat_parallel.default_jobs ()) in
+    let rec figures = function
+      | "--jobs" :: n :: rest ->
+        jobs := jobs_flag n;
+        figures rest
+      | name :: rest -> name :: figures rest
+      | [] -> []
+    in
+    let names = figures rest in
+    cmd_figures ~jobs:!jobs names
   | _ ->
     usage ();
     exit 1

@@ -13,12 +13,18 @@ type t = {
       (** output buffers whose element order is nondeterministic on the GPU
           (atomic-append filters, group-by values) *)
   eps : float;  (** comparison tolerance against the CPU oracle *)
+  param_rules : (string * int) list -> ((string * int) list, string) result;
+      (** the app's own parameter invariants: given resolved parameters,
+          the values of the parameters derived from others (hotspot's
+          [NM1 = N - 1]), or an error naming the parameter that breaks an
+          invariant. Arithmetic only — no input generation. *)
 }
 
 val make :
   ?params:(string * int) list ->
   ?unordered:string list ->
   ?eps:float ->
+  ?param_rules:((string * int) list -> ((string * int) list, string) result) ->
   name:string ->
   gen:((string * int) list -> Ppat_ir.Host.data) ->
   Ppat_ir.Pat.prog ->
@@ -29,3 +35,10 @@ val resolved_params : t -> (string * int) list
 
 val input_data : t -> Ppat_ir.Host.data
 (** Generate the workload for the app's own parameters. *)
+
+val with_params : t -> (string * int) list -> (t, string) result
+(** [with_params app overrides] puts [overrides] over the app's
+    parameters and applies its [param_rules]: derived parameters the
+    overrides did not send are re-derived, and [Error] names an unknown
+    parameter, a zero size, a derived one sent with the wrong value, or
+    one that breaks the app's invariants. *)

@@ -67,6 +67,7 @@ let app ?(nodes = 16384) ?(avg_degree = 8) () =
     }
   in
   App.make ~name:"BFS"
+    ~param_rules:(Workloads.fixed_nodes nodes)
     ~gen:(fun params ->
       let n = List.assoc "NODES" params in
       let edges = List.assoc "EDGES" params in

@@ -83,6 +83,7 @@ let app ?(n = 512) ?steps order =
   App.make
     ~name:(match order with R -> "Gaussian (R)" | C -> "Gaussian (C)")
     ~eps:1e-5
+    ~param_rules:Workloads.steps_below_n
     ~gen:(fun params ->
       let n = List.assoc "N" params in
       [

@@ -64,6 +64,7 @@ let app ?(n = 512) ?(steps = 4) order =
   in
   App.make
     ~name:(match order with R -> "Hotspot (R)" | C -> "Hotspot (C)")
+    ~param_rules:(fun env -> Ok [ ("NM1", Stdlib.( - ) (List.assoc "N" env) 1) ])
     ~gen:(fun params ->
       let n = List.assoc "N" params in
       [

@@ -74,6 +74,7 @@ let app ?(n = 512) ?steps order =
   App.make
     ~name:(match order with R -> "LUD (R)" | C -> "LUD (C)")
     ~eps:1e-4
+    ~param_rules:Workloads.steps_below_n
     ~gen:(fun params ->
       let n = List.assoc "N" params in
       [ ("a", Host.F (Workloads.spd_matrix ~seed:71 n)) ])

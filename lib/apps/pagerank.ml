@@ -54,6 +54,7 @@ let app ?(nodes = 8192) ?(avg_degree = 8) ?(iters = 3) () =
     }
   in
   App.make ~name:"PageRank"
+    ~param_rules:(Workloads.fixed_nodes nodes)
     ~gen:(fun params ->
       let n = List.assoc "NODES" params in
       let edges = List.assoc "EDGES" params in

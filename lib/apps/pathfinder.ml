@@ -42,6 +42,7 @@ let app ?(rows = 64) ?(cols = 16384) () =
     }
   in
   App.make ~name:"Pathfinder"
+    ~param_rules:(fun env -> Ok [ ("CM1", Stdlib.( - ) (List.assoc "C" env) 1) ])
     ~gen:(fun params ->
       let r = List.assoc "R" params and c = List.assoc "C" params in
       [

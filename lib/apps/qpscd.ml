@@ -44,6 +44,11 @@ let app ?(samples = 2048) ?(dim = 2048) () =
     }
   in
   App.make ~name:"QPSCD HogWild"
+    ~param_rules:(fun env ->
+      let s = List.assoc "S" env and k = List.assoc "K" env in
+      if Stdlib.( > ) s k then
+        Error (Printf.sprintf "parameter \"S\" (%d) must not exceed \"K\" (%d)" s k)
+      else Ok [])
     ~gen:(fun params ->
       let k = List.assoc "K" params in
       [

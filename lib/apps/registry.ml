@@ -1,5 +1,5 @@
-(* The bundled application registry, shared by the CLI driver, the bench
-   harness and the mapping service. Constructors are thunked: some apps
+(* The bundled application registry, shared by the `ppat` CLI, perfbench
+   and the mapping service. Constructors are thunked: some apps
    generate sizable synthetic workloads at build time. *)
 
 let all : (string * (unit -> App.t)) list =

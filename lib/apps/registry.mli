@@ -1,5 +1,5 @@
-(** The bundled application registry, shared by the CLI driver, the bench
-    harness and the mapping service. *)
+(** The bundled application registry, shared by the `ppat` CLI, perfbench
+    and the mapping service. *)
 
 val all : (string * (unit -> App.t)) list
 (** Name to (thunked) constructor, in presentation order. *)

@@ -122,6 +122,9 @@ let app ?(n = 256) ?(iters = 2) order =
   App.make
     ~name:(match order with R -> "Srad (R)" | C -> "Srad (C)")
     ~eps:1e-5
+    ~param_rules:(fun env ->
+      let n = List.assoc "N" env in
+      Ok [ ("NM1", Stdlib.( - ) n 1); ("N2", Stdlib.( * ) n n) ])
     ~gen:(fun params ->
       let n2 = List.assoc "N2" params in
       [ ("image", Host.F (Workloads.farray ~lo:1. ~hi:2. ~seed:61 n2)) ])

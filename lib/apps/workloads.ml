@@ -74,3 +74,21 @@ let spd_matrix ~seed n =
     a.((i * n) + i) <- a.((i * n) + i) +. float_of_int n
   done;
   a
+
+let fixed_nodes nodes env =
+  match List.assoc_opt "NODES" env with
+  | Some n when n <> nodes ->
+    Error
+      (Printf.sprintf
+         "parameter \"NODES\" is fixed at %d for this app (its row-pointer \
+          extent is built into the program), got %d"
+         nodes n)
+  | _ -> Ok []
+
+let steps_below_n env =
+  let n = List.assoc "N" env and s = List.assoc "STEPS" env in
+  if s > n - 1 then
+    Error
+      (Printf.sprintf "parameter \"STEPS\" (%d) must be at most N - 1 (%d)" s
+         (n - 1))
+  else Ok []

@@ -29,3 +29,14 @@ val csr_graph :
 val spd_matrix : seed:int -> int -> float array
 (** Dense symmetric positive-definite matrix (row-major n x n), suitable
     for LU decomposition and Gaussian elimination without pivoting. *)
+
+val fixed_nodes :
+  int -> (string * int) list -> ((string * int) list, string) result
+(** Parameter rule of the CSR graph apps: their [row_ptr] extent
+    ([nodes + 1]) is built into the program, so [NODES] cannot be
+    overridden to another value. *)
+
+val steps_below_n :
+  (string * int) list -> ((string * int) list, string) result
+(** Parameter rule of the elimination apps: step [t] updates rows
+    [t + 1 ..], so [STEPS] must be at most [N - 1]. *)

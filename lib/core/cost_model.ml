@@ -84,6 +84,13 @@ let better a b =
   in
   go 0
 
+let rank ?calib kind dev c cands =
+  let evals = Array.map (evaluate ?calib kind dev c) cands in
+  let order = Array.init (Array.length cands) Fun.id in
+  (* polymorphic compare on two keys is descending-lexicographic here *)
+  Array.stable_sort (fun i j -> compare evals.(j).key evals.(i).key) order;
+  (evals, order)
+
 (* ----- Spearman rank correlation (average ranks, Pearson over ranks) ----- *)
 
 let ranks (xs : float array) =

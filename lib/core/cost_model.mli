@@ -75,6 +75,17 @@ val better : eval -> eval -> bool
     comparison of the keys; equal keys keep the incumbent, preserving
     first-wins determinism of the enumeration order. *)
 
+val rank :
+  ?calib:calibration ->
+  kind ->
+  Ppat_gpu.Device.t ->
+  Collect.t ->
+  Mapping.t array ->
+  eval array * int array
+(** Evaluate every candidate and order their indices best first by
+    descending-lexicographic key. The sort is stable, so full ties keep
+    enumeration order, matching the search's first-wins rule. *)
+
 val spearman : float array -> float array -> float
 (** Spearman rank correlation between two paired samples (average ranks
     on ties, Pearson over the ranks). Returns [nan] for samples shorter

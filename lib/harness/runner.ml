@@ -826,3 +826,68 @@ let sweep_mapped ?engine ?sim_jobs ?(jobs = 1)
       sw_stage_seconds = !sw_stage_seconds;
       sw_wall_seconds = Unix.gettimeofday () -. t0;
     } )
+
+type target_space = {
+  ts_base : (int * Mapping.t) list;
+  ts_target : Pat.nested;
+  ts_collect : Collect.t;
+  ts_candidates : Mapping.t array;
+  ts_duplicates : int;
+}
+
+let target_space ?(params = []) dev (prog : Pat.prog) =
+  let ap = analysis_params prog params in
+  let pats = ref [] in
+  let rec step = function
+    | Pat.Launch n ->
+      if not (List.exists (fun (m, _) -> m.Pat.pat.Pat.pid = n.pat.Pat.pid) !pats)
+      then pats := (n, Collect.collect ~params:ap ?bind:n.bind dev prog n.pat) :: !pats
+    | Pat.Host_loop { body; _ } | Pat.While_flag { body; _ } ->
+      List.iter step body
+    | Pat.Swap _ -> ()
+  in
+  List.iter step prog.steps;
+  let pats = List.rev !pats in
+  if pats = [] then invalid_arg (prog.pname ^ " has no launches");
+  (* non-target patterns keep their soft-model auto mapping, so candidate
+     mappings of the target are the only variable between simulations *)
+  let base =
+    List.map
+      (fun ((n : Pat.nested), c) ->
+        ( n.pat.Pat.pid,
+          (Strategy.decide ~model:Ppat_core.Cost_model.Soft dev c Strategy.Auto)
+            .Strategy.mapping ))
+      pats
+  in
+  (* the first pattern with the most hard-feasible mappings *)
+  let (target, tc), cands =
+    List.fold_left
+      (fun ((_, best) as acc) (p, c) ->
+        let ms =
+          List.map fst
+            (Ppat_core.Search.enumerate ~model:Ppat_core.Cost_model.Soft dev c)
+        in
+        if List.length ms > List.length best then ((p, c), ms) else acc)
+      (List.hd pats, []) pats
+  in
+  (* the search can reach one mapping through several enumeration moves;
+     simulating it twice would double-count the sample *)
+  let seen = Hashtbl.create 64 in
+  let unique =
+    List.filter
+      (fun (m : Mapping.t) ->
+        let k = Digest.string (Marshal.to_string m []) in
+        if Hashtbl.mem seen k then false
+        else begin
+          Hashtbl.add seen k ();
+          true
+        end)
+      cands
+  in
+  {
+    ts_base = base;
+    ts_target = target;
+    ts_collect = tc;
+    ts_candidates = Array.of_list unique;
+    ts_duplicates = List.length cands - List.length unique;
+  }

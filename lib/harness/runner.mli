@@ -242,3 +242,28 @@ val sweep_mapped :
     the [sweep.candidates_evaluated] / [sweep.shapes_staged] /
     [sweep.candidates_replayed] metrics — a finished sweep asserts
     "each shape staged exactly once" as [sw_staged = sw_shapes]. *)
+
+(** {2 Mapping spaces} *)
+
+type target_space = {
+  ts_base : (int * Ppat_core.Mapping.t) list;
+      (** the soft-model auto mapping of every top-level pattern, by pid *)
+  ts_target : Ppat_ir.Pat.nested;
+      (** the first pattern with the richest hard-feasible mapping space *)
+  ts_collect : Ppat_core.Collect.t;  (** the target's collected constraints *)
+  ts_candidates : Ppat_core.Mapping.t array;
+      (** the target's hard-feasible mappings under the soft model, in
+          enumeration order, duplicates dropped *)
+  ts_duplicates : int;  (** enumerated mappings dropped as duplicates *)
+}
+
+val target_space :
+  ?params:(string * int) list ->
+  Ppat_gpu.Device.t ->
+  Ppat_ir.Pat.prog ->
+  target_space
+(** The candidate space a mapping-space sweep evaluates: vary the target
+    pattern over [ts_candidates] while every other pattern keeps its
+    [ts_base] mapping ({!sweep_mapped}'s [~target_pid] and [~base]). Used
+    by [ppat modelcmp] and [ppat sweep]. Raises [Invalid_argument] when
+    the program has no launches. *)

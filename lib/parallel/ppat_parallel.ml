@@ -1,9 +1,9 @@
 (* Shared multi-domain worker pool.
 
    One persistent pool of OCaml 5 domains serves every parallel consumer in
-   the process: the bench harness fans out whole apps, and the simulator
-   fans out the blocks of a single launch (Interp/Compile's intra-launch
-   mode). Spawning a domain costs tens of microseconds and a launch can be
+   the process: `ppat figures`, sweeps and served batches fan out whole
+   runs, and the simulator fans out the blocks of a single launch
+   (Interp/Compile's intra-launch mode). Spawning a domain costs tens of microseconds and a launch can be
    sub-millisecond, so the domains are spawned once and parked on a
    condition variable between batches instead of being re-spawned per
    [pool_run] call.

@@ -1,5 +1,6 @@
-(** Process-wide worker-domain pool shared by the bench harness (app-level
-    fan-out) and the simulator (intra-launch block fan-out).
+(** Process-wide worker-domain pool shared by the run-level fan-outs
+    (figures, sweeps, served batches) and the simulator (intra-launch
+    block fan-out).
 
     The pool is persistent: worker domains are spawned once, parked on a
     condition variable between batches, and shut down automatically at

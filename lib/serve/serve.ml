@@ -314,30 +314,12 @@ let handle_request t (rq : req) =
     | Some app -> app
     | None -> fail "unknown app %S; try the \"list\" op of ppat" rq.rq_app
   in
-  (* reject unknown parameter names before merging overrides: a typo would
-     otherwise silently run the app at its default sizes (the parameter
-     environment ignores keys the program never reads) *)
-  let known =
-    List.map fst app.A.App.prog.Ppat_ir.Pat.defaults
-    @ List.map fst app.A.App.params
-  in
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k known) then
-        fail "app %S has no parameter %S (valid: %s)" rq.rq_app k
-          (String.concat ", " (List.sort_uniq compare known)))
-    rq.rq_params;
+  (* the app's own rules: an unknown name would silently run the default
+     sizes, a stale derived size or a broken invariant would trap *)
   let app =
-    if rq.rq_params = [] then app
-    else
-      {
-        app with
-        A.App.params =
-          rq.rq_params
-          @ List.filter
-              (fun (k, _) -> not (List.mem_assoc k rq.rq_params))
-              app.A.App.params;
-      }
+    match A.App.with_params app rq.rq_params with
+    | Ok app -> app
+    | Error e -> fail "app %S: %s" rq.rq_app e
   in
   let data = A.App.input_data app in
   let before = if rq.rq_profile then Some (Metrics.snapshot ()) else None in
@@ -468,14 +450,20 @@ let rec handle_json t ~jobs j : Jsonx.t * bool =
     | Some "shutdown" -> (ok_op "shutdown", true)
     | Some "batch" -> (
       let jobs =
-        match Option.bind (Jsonx.member "jobs" j) Jsonx.to_int with
-        | Some n when n >= 1 -> min n Ppat_parallel.max_jobs
-        | _ -> jobs
+        match Jsonx.member "jobs" j with
+        | None | Some Jsonx.Null -> Some jobs
+        | Some v -> (
+          match Jsonx.to_int v with
+          | Some n when n >= 1 -> Some (min n Ppat_parallel.max_jobs)
+          | _ -> None)
       in
-      match Option.bind (Jsonx.member "requests" j) Jsonx.to_list with
-      | None ->
+      match (jobs, Option.bind (Jsonx.member "requests" j) Jsonx.to_list) with
+      | None, _ ->
+        ( error_response ~id "field \"jobs\" must be a positive integer",
+          false )
+      | _, None ->
         (error_response ~id "batch needs a \"requests\" list", false)
-      | Some reqs ->
+      | Some jobs, Some reqs ->
         let responses, stop = handle_batch t ~jobs reqs in
         ( Jsonx.Obj
             [
@@ -566,15 +554,12 @@ let handle_line t line =
     stop )
 
 let handle_lines t ~jobs lines =
-  let jsons, errors =
-    List.fold_left
-      (fun (js, errs) line ->
-        match Jsonx.of_string line with
-        | Ok j -> (js @ [ `Ok j ], errs)
-        | Error e -> (js @ [ `Err e ], errs + 1))
-      ([], 0) lines
+  let jsons =
+    List.map
+      (fun line ->
+        match Jsonx.of_string line with Ok j -> `Ok j | Error e -> `Err e)
+      lines
   in
-  ignore errors;
   let oks = List.filter_map (function `Ok j -> Some j | `Err _ -> None) jsons in
   let responses, stop = handle_batch t ~jobs oks in
   let rec weave jsons responses =

@@ -30,7 +30,10 @@
      "profile": false, "no_cache": false}
     v}
 
-    Every field but ["app"] is optional. The response carries the
+    Every field but ["app"] is optional; ["params"] overrides go through
+    {!Ppat_apps.App.with_params}, so a derived size follows its primary
+    and a broken app invariant is an error naming the parameter. The
+    response carries the
     deterministic payload under ["answer"] (aggregate statistics, mapping
     decisions, an MD5 digest over statistics plus all final buffer
     contents, and the buffers themselves when ["buffers"] is true),

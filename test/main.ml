@@ -30,4 +30,5 @@ let () =
       ("serve", Test_serve.tests);
       ("race", Test_race.tests);
       ("sweep", Test_sweep.tests);
+      ("golden", Test_golden.tests);
     ]

@@ -282,6 +282,7 @@ let test_protocol_ops () =
       ("unknown param", {|{"app":"sum_rows","params":{"bogus":1}}|});
       ("negative param", {|{"app":"sum_rows","params":{"R":-5}}|});
       ("unknown op", {|{"op":"frobnicate"}|});
+      ("batch jobs not an int", {|{"op":"batch","jobs":"x","requests":[]}|});
     ];
   (* a negative size is refused by name before it reaches the pipeline *)
   let resp, _ =
@@ -340,6 +341,189 @@ let test_protocol_profile () =
       (List.length entries > 0)
   | None -> Alcotest.fail "profiled request carries a metrics delta"
 
+(* ----- a plan hit skips the whole amortisable front end: the counters
+   the search and the staging bump move on the cold miss and stay put on
+   the hit ----- *)
+
+let test_hit_skips_search_and_staging () =
+  let server = Serve.create () in
+  let line =
+    request "sum_rows" [ ("R", 40); ("C", 24) ] ~engine:"compiled" ~sim_jobs:1
+  in
+  (* the search, search-memo, staging and kernel-stage-cache counters one
+     request moved *)
+  let front_end status =
+    let before = Ppat_metrics.Metrics.snapshot () in
+    let j = serve_one "hit counters" server line in
+    Alcotest.(check string) "plan status" status
+      (get_str "hit counters" [ "cache"; "plan" ] j);
+    Ppat_metrics.Metrics.diff before (Ppat_metrics.Metrics.snapshot ())
+    |> List.filter_map (fun (e : Ppat_metrics.Metrics.entry) ->
+           match List.assoc_opt "cache" e.labels with
+           | Some ("search_memo" | "kernel_stage" as c) -> Some c
+           | _ ->
+             if String.starts_with ~prefix:"search." e.name
+                || String.starts_with ~prefix:"staging." e.name
+             then Some e.name
+             else None)
+  in
+  let miss = front_end "miss" in
+  Alcotest.(check bool) "the miss searches and stages" true
+    (List.mem "search.candidates_evaluated" miss && List.mem "kernel_stage" miss);
+  Alcotest.(check (list string)) "the hit moves none of them" [] (front_end "hit")
+
+(* ----- parameter overrides go through the app's own rules: derived
+   sizes follow their primaries, broken invariants are named errors ----- *)
+
+let serve_error server line =
+  let resp, _ = Serve.handle_line server line in
+  match get [ "error" ] (parse_resp line resp) with
+  | Some (J.Str e) -> e
+  | _ -> Alcotest.failf "%s: expected a named error, got %s" line resp
+
+let test_param_rules () =
+  let server = Serve.create () in
+  let served app params =
+    serve_one app server
+      (request app params ~engine:"compiled" ~sim_jobs:1)
+  in
+  let validated app params =
+    let j = served app params in
+    (match get [ "answer"; "validated" ] j with
+     | Some (J.Bool true) -> ()
+     | _ -> Alcotest.failf "%s: answer not validated" app);
+    j
+  in
+  (* a primary override re-derives its dependants: the answer is the one
+     an explicitly consistent request gets, at the requested size *)
+  List.iter
+    (fun (app, primary, derived) ->
+      let a = validated app primary in
+      let b = validated app (primary @ derived) in
+      Alcotest.(check string)
+        (app ^ ": derived = explicit")
+        (get_str app [ "answer"; "digest" ] a)
+        (get_str app [ "answer"; "digest" ] b))
+    [
+      ("hotspot", [ ("N", 8) ], [ ("NM1", 7) ]);
+      ("pathfinder", [ ("C", 64); ("R", 4) ], [ ("CM1", 63) ]);
+      ("srad", [ ("N", 16) ], [ ("NM1", 15); ("N2", 256) ]);
+    ];
+  (match get [ "answer"; "buffers"; "image" ] (served "srad" [ ("N", 16) ]) with
+   | Some (J.List l) -> Alcotest.(check int) "srad runs at N2 = 16 * 16" 256 (List.length l)
+   | _ -> Alcotest.fail "srad: no image buffer");
+  (* every other violation is refused, naming the parameter *)
+  List.iter
+    (fun (app, params, named) ->
+      let line = request app params ~engine:"compiled" ~sim_jobs:1 in
+      let e = serve_error server line in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: error names %s (got %S)" app named e)
+        true
+        (Astring_like.contains e (Printf.sprintf "%S" named)
+        && not (String.starts_with ~prefix:"request failed:" e)))
+    [
+      ("hotspot", [ ("N", 8); ("NM1", 63) ], "NM1");
+      ("qpscd", [ ("S", 64); ("K", 32) ], "S");
+      ("bfs", [ ("NODES", 64) ], "NODES");
+      ("pagerank", [ ("NODES", 64) ], "NODES");
+      ("gaussian", [ ("N", 16) ], "STEPS");
+      ("sum_cols", [ ("R", 32); ("C", 0) ], "C");
+      ("qpscd", [ ("S", 0); ("K", 8) ], "S");
+    ]
+
+(* ----- protocol fuzz: whatever the line, exactly one ppat-serve/1 answer,
+   and a refusal is always a named error, never the internal-exception
+   catch-all ----- *)
+
+module Q = QCheck2
+
+let fuzz_apps =
+  [
+    ("sum_rows", [ "R"; "C" ]);
+    ("sum_cols", [ "R"; "C" ]);
+    ("sum_weighted_rows", [ "R"; "C" ]);
+    ("hotspot", [ "N" ]);
+    ("pathfinder", [ "R"; "C" ]);
+    ("srad", [ "N" ]);
+    ("qpscd", [ "S"; "K" ]);
+    ("gemm", [ "M"; "N"; "K" ]);
+    ("msm_cluster", [ "T"; "KC"; "D" ]);
+    ("mandelbrot", [ "H"; "W" ]);
+    ("nearest_neighbor", [ "N" ]);
+    ("gaussian", [ "N"; "STEPS" ]);
+    ("lud", [ "N"; "STEPS" ]);
+    ("bfs", [ "NODES" ]);
+  ]
+
+let gen_line =
+  let open Q.Gen in
+  let str s = J.Str s in
+  let obj fields = return (J.to_string ~minify:true (J.Obj fields)) in
+  let malformed =
+    oneofl
+      [ "{"; "nope"; "[1,2"; {|{"app":}|}; {|"sum_rows"|}; "42"; "[]"; "null";
+        ""; "{}"; {|{"op":5}|}; {|{"op":"batch","jobs":"x","requests":[]}|};
+        {|{"op":"batch","jobs":0,"requests":[]}|}; {|{"op":"batch","requests":"x"}|} ]
+  in
+  let wrong_typed =
+    let* field, v =
+      oneofl
+        [ ("params", J.List [ J.Int 1 ]); ("params", J.Obj [ ("R", str "x") ]);
+          ("params", J.Obj [ ("R", J.Float 1.5) ]); ("strategy", J.Int 3);
+          ("engine", J.Bool true); ("cost_model", J.Int 1); ("buffers", str "yes");
+          ("validate", J.Int 1); ("no_cache", J.List []); ("sim_jobs", str "2");
+          ("sim_jobs", J.Int 0); ("sim_jobs", J.Int (-3)); ("profile", J.Float 0.) ]
+    in
+    let* app = oneofl [ J.Int 5; str "sum_rows" ] in
+    obj [ ("app", app); (field, v) ]
+  in
+  (* a well-formed request for a registry app at sizes in [0, 32], with at
+     most one bad field *)
+  let sized =
+    let* app, names = oneofl fuzz_apps in
+    let size = frequency [ (1, return 0); (1, int_range 1 4); (2, int_range 0 32) ] in
+    let* sizes = list_repeat (List.length names) size in
+    let params = List.map2 (fun n v -> (n, J.Int v)) names sizes in
+    let* strategy = oneofl [ "auto"; "1d"; "tbt"; "warp" ] in
+    let* engine = oneofl [ "compiled"; "compiled"; "reference" ] in
+    let* model = oneofl [ "soft"; "analytical"; "hybrid" ] in
+    let* fault =
+      oneofl
+        [ None; None; None; None; Some ("app", str "no_such_app");
+          Some ("strategy", str "bogus"); Some ("engine", str "bogus");
+          Some ("cost_model", str "bogus");
+          Some ("params", J.Obj (("BOGUS", J.Int 1) :: params));
+          Some ("params", J.Obj [ (List.hd names, J.Int (-1)) ]) ]
+    in
+    let fields =
+      [ ("app", str app); ("params", J.Obj params); ("strategy", str strategy);
+        ("engine", str engine); ("cost_model", str model);
+        ("validate", J.Bool true) ]
+    in
+    obj
+      (match fault with
+       | None -> fields
+       | Some (k, v) -> (k, v) :: List.remove_assoc k fields)
+  in
+  frequency [ (1, malformed); (1, wrong_typed); (4, sized) ]
+
+let prop_fuzz =
+  let server = Serve.create () in
+  Q.Test.make ~name:"serve fuzz: one answer, never an internal error" ~count:400
+    ~print:Fun.id gen_line (fun line ->
+      let resp, stop = Serve.handle_line server line in
+      let j = parse_resp line resp in
+      (not stop)
+      && (not (String.contains resp '\n'))
+      && get [ "schema" ] j = Some (J.Str "ppat-serve/1")
+      &&
+      match (get [ "ok" ] j, get [ "error" ] j) with
+      | Some (J.Bool true), _ -> true
+      | Some (J.Bool false), Some (J.Str e) ->
+        not (String.starts_with ~prefix:"request failed:" e)
+      | _ -> false)
+
 let tests =
   [
     Alcotest.test_case "replay = cold (compiled, jobs 1)" `Quick
@@ -359,4 +543,8 @@ let tests =
     Alcotest.test_case "protocol: concurrent batch" `Quick test_protocol_batch;
     Alcotest.test_case "protocol: per-request profile and metrics delta" `Quick
       test_protocol_profile;
+    Alcotest.test_case "protocol: a plan hit runs no search and no staging"
+      `Quick test_hit_skips_search_and_staging;
+    Alcotest.test_case "protocol: app parameter rules" `Quick test_param_rules;
+    QCheck_alcotest.to_alcotest prop_fuzz;
   ]

@@ -3,7 +3,7 @@
    the stage-once-per-shape metrics contract, the calibration loop's
    monotonicity, the pure Sweep helpers, the Jsonx non-finite guard, the
    fail-fast PPAT_* environment parsing and the strategy / engine value
-   parsers the CLI, the service and the bench share. *)
+   parsers the CLI and the service share. *)
 open Ppat_ir
 module Runner = Ppat_harness.Runner
 module Sweep = Ppat_core.Sweep
@@ -13,34 +13,16 @@ module Q = QCheck2
 
 let dev = Ppat_gpu.Device.k20c
 
-(* the sweep setup every harness test shares: target pattern, soft-auto
-   base mappings, deduped hard-feasible candidates *)
+(* the sweep setup every harness test shares: the target launch, its
+   analysis parameters, pid and constraints, and the deduped hard-feasible
+   candidates *)
 let space (app : Ppat_apps.App.t) =
-  let ap = Runner.analysis_params app.prog app.params in
-  let n =
-    match app.prog.Pat.steps with
-    | Pat.Launch n :: _ -> n
-    | _ -> assert false
-  in
-  let c =
-    Ppat_core.Collect.collect ~params:ap ?bind:n.bind dev app.prog n.pat
-  in
-  let cands =
-    List.map fst (Ppat_core.Search.enumerate ~model:Cost_model.Soft dev c)
-  in
-  let seen = Hashtbl.create 64 in
-  let cands =
-    List.filter
-      (fun m ->
-        let k = Digest.string (Marshal.to_string m []) in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      cands
-  in
-  (n, ap, n.pat.Pat.pid, c, Array.of_list cands)
+  let ts = Runner.target_space ~params:app.params dev app.prog in
+  ( ts.ts_target,
+    Runner.analysis_params app.prog app.params,
+    ts.ts_target.pat.Pat.pid,
+    ts.ts_collect,
+    ts.ts_candidates )
 
 let take k a = Array.sub a 0 (min k (Array.length a))
 
@@ -240,20 +222,7 @@ let test_calibration_monotone () =
   List.iter
     (fun model ->
       let order calib =
-        let evals =
-          Array.map (fun m -> Cost_model.evaluate ?calib model dev col m) cands
-        in
-        List.stable_sort
-          (fun i j ->
-            (* descending-lexicographic on the ranking key, as the search
-               compares candidates *)
-            let a = evals.(i).Cost_model.key and b = evals.(j).Cost_model.key in
-            let rec go k =
-              if k >= Array.length a then 0
-              else match compare b.(k) a.(k) with 0 -> go (k + 1) | c -> c
-            in
-            go 0)
-          (List.init (Array.length cands) (fun i -> i))
+        Array.to_list (snd (Cost_model.rank ?calib model dev col cands))
       in
       let pre = order None and post = order (Some calib) in
       Alcotest.(check (list int))
@@ -393,7 +362,7 @@ let test_env_parsers () =
       (Astring_like.contains e "compiled|reference")
   | Ok _ -> Alcotest.fail "'fast' accepted as an engine"
 
-(* one parser per enum, shared by `ppat`, `ppat serve` and the bench: every
+(* one parser per enum, shared by `ppat` and `ppat serve`: every
    alias resolves, and a bad value is an [Error] naming the flag (or
    field) it came from and the accepted values — never an exception *)
 let test_value_parsers () =
