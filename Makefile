@@ -48,6 +48,10 @@ bench-smoke: build
 	    "bin/ppat.exe -- racecheck nosuchapp" \
 	    "bin/ppat.exe -- run sum_rows --bogus" \
 	    "bin/ppat.exe -- cuda sum_rows --bogus" \
+	    "bin/ppat.exe -- cuda sum_rows --engine reference" \
+	    "bin/ppat.exe -- modelcmp sum_rows --sim-jobs 2" \
+	    "bin/ppat.exe -- trace-search sum_rows --engine reference" \
+	    "bin/ppat.exe -- run sum_rows --budget 3" \
 	    "bin/ppat.exe -- run sum_rows --json /tmp/ppat_usage_out.json" \
 	    "bin/ppat.exe -- report sum_rows --chrome-trace /tmp/ppat_usage_out.json" \
 	    "bin/ppat.exe -- explain sum_rows extra" \
@@ -116,10 +120,9 @@ racecheck: build
 	dune exec test/main.exe -- test race > /dev/null
 	@echo "racecheck: staged kernels race-free in both modes; shuffle differential OK"
 
-# batched mapping-space sweep gate: run `ppat sweep` over every bench app.
-# Each invocation asserts internally that every shape was staged exactly
-# once (via the sweep.* metrics) and exits non-zero if calibrating the
-# analytical predictor worsens its regret on that app. Budgets are sized
+# mapping-space sweep gate: run `ppat sweep` over every bench app. Each
+# invocation exits non-zero if calibrating the analytical predictor
+# worsens its regret on that app. Budgets are sized
 # so the whole target stays a few minutes; whole >= 200-candidate spaces
 # are pinned by the sweep digests of test/test_golden.ml.
 sweep: build
@@ -129,7 +132,7 @@ sweep: build
 	dune exec bin/ppat.exe -- sweep qpscd --budget 32 --jobs 4 > /dev/null
 	dune exec bin/ppat.exe -- sweep gemm --budget 24 --jobs 4 > /dev/null
 	dune exec bin/ppat.exe -- sweep msm_cluster --budget 16 --jobs 4 > /dev/null
-	@echo "sweep: stage-once metrics hold and calibration never worsens regret on any bench app"
+	@echo "sweep: calibration never worsens regret on any bench app"
 
 check: build test smoke engines cost-models parallel bench-smoke report serve racecheck sweep
 

@@ -399,9 +399,8 @@ let cmd_modelcmp name engine top json =
     to_file f j;
     Format.printf "wrote modelcmp report to %s@." f
 
-(* ----- sweep: batched evaluation of the target pattern's mapping space
-   (stage once per shape, replay the rest), plus the predictor-vs-
-   simulator calibration loop ----- *)
+(* ----- sweep: evaluation of the target pattern's mapping space on the
+   pool, plus the predictor-vs-simulator calibration loop ----- *)
 
 let cmd_sweep name engine sim_jobs jobs budget json =
   let app = find_app name in
@@ -435,49 +434,22 @@ let cmd_sweep name engine sim_jobs jobs budget json =
     "sweep %s: target %S, %d unique candidates (%d duplicate(s) dropped), \
      evaluating %d (budget %d)@."
     name tlabel n dupes (Array.length sel) budget;
-  (* evaluate the selection on this process's pool, corroborating the
-     staging metrics *)
-  let staged_c = Ppat_profile.Metrics.counter "sweep.shapes_staged" in
-  let evaluated_c = Ppat_profile.Metrics.counter "sweep.candidates_evaluated" in
-  let staged0 = Ppat_profile.Metrics.value staged_c in
-  let evaluated0 = Ppat_profile.Metrics.value evaluated_c in
+  (* evaluate the selection on this process's pool *)
   let results, counts =
     Ppat_harness.Runner.sweep_mapped ~engine ~sim_jobs ~jobs
       ~params:app.params dev app.prog ~target_pid:tpid ~base
       (Array.map (fun i -> cands.(i)) sel)
       data
   in
-  let staged_d = Ppat_profile.Metrics.value staged_c -. staged0 in
-  let evaluated_d = Ppat_profile.Metrics.value evaluated_c -. evaluated0 in
-  (* the metrics must corroborate stage-once-per-shape: exactly one
-     staging per distinct shape, and every candidate counted *)
-  if
-    int_of_float staged_d <> counts.Ppat_harness.Runner.sw_shapes
-    || int_of_float staged_d <> counts.sw_staged
-    || int_of_float evaluated_d <> counts.sw_candidates
-  then begin
-    Format.eprintf
-      "sweep: metrics disagree with stage-once-per-shape (staged %g for %d \
-       shape(s), evaluated %g of %d)@."
-      staged_d counts.sw_shapes evaluated_d counts.sw_candidates;
-    exit 1
-  end;
   let share =
     if counts.sw_wall_seconds > 0. then
       counts.sw_stage_seconds /. counts.sw_wall_seconds
     else 0.
   in
-  let amortisation =
-    if counts.sw_staged > 0 then
-      float_of_int (counts.sw_staged + counts.sw_replayed)
-      /. float_of_int counts.sw_staged
-    else 0.
-  in
   Format.printf
-    "  %d shape(s): %d staged, %d replayed, %d failed; staging %.3fs of \
-     %.3fs wall (share %.1f%%, amortisation %.1fx)@."
-    counts.sw_shapes counts.sw_staged counts.sw_replayed counts.sw_failed
-    counts.sw_stage_seconds counts.sw_wall_seconds (100. *. share) amortisation;
+    "  %d shape(s), %d failed; staging %.3fs of %.3fs wall (share %.1f%%)@."
+    counts.sw_shapes counts.sw_failed counts.sw_stage_seconds
+    counts.sw_wall_seconds (100. *. share);
   (* ground truth: simulated model seconds of the target pattern, keyed
      by population index *)
   let sim = Hashtbl.create 32 in
@@ -601,13 +573,10 @@ let cmd_sweep name engine sim_jobs jobs budget json =
           ("budget", Int budget);
           ("evaluated", Int counts.sw_candidates);
           ("shapes", Int counts.sw_shapes);
-          ("staged", Int counts.sw_staged);
-          ("replayed", Int counts.sw_replayed);
           ("failed", Int counts.sw_failed);
           ("stage_seconds", number counts.sw_stage_seconds);
           ("wall_seconds", number counts.sw_wall_seconds);
           ("staging_share", number share);
-          ("amortisation", number amortisation);
           ( "calibration",
             match calib with
             | Some c ->
@@ -644,7 +613,6 @@ let cmd_sweep name engine sim_jobs jobs budget json =
                            ( "mapping",
                              Str (Ppat_core.Mapping.to_string cands.(sel.(si)))
                            );
-                           ("staged", Bool c.sc_staged);
                          ]
                         @ (match c.sc_shape with
                            | Some s -> [ ("shape", Str s) ]
@@ -835,9 +803,8 @@ let usage () =
      \                            against the simulator\n\
      \  sweep APP [--engine E] [--budget N] [--jobs N] [--sim-jobs N]\n\
      \                            [--json FILE]\n\
-     \                            batched mapping-space sweep: stage each\n\
-     \                            mapping shape once, replay the population\n\
-     \                            through it, fit the predictor calibration\n\
+     \                            mapping-space sweep: simulate the selected\n\
+     \                            candidates, fit the predictor calibration\n\
      \                            and report before/after rank quality;\n\
      \                            --budget caps simulations (active learning\n\
      \                            picks where the cost models disagree),\n\
@@ -878,10 +845,11 @@ type flags = {
   f_budget : int;
 }
 
-(* [-s STRAT] [--engine E] [--cost-model M] [--json FILE]
-   [--chrome-trace FILE] [--top K] [--sim-jobs N] [--jobs N] [--budget N]
-   in any order *)
-let parse_flags rest =
+(* the flags of [cmd], in any order; [takes] lists the ones it reads
+   (["-s"; "--engine"; "--cost-model"; "--json"; "--chrome-trace";
+   "--top"; "--sim-jobs"; "--jobs"; "--budget"; "--shuffle"]) and any
+   other argument is a usage error naming it *)
+let parse_flags cmd ~takes rest =
   let strat = ref Ppat_core.Strategy.Auto in
   let engine = ref (Ppat_kernel.Interp.default_engine ()) in
   let model = ref (Cost_model.default ()) in
@@ -892,6 +860,10 @@ let parse_flags rest =
   let budget = ref 0 in
   let rec go = function
     | [] -> ()
+    | flag :: _ when not (List.mem flag takes) ->
+      usage_error
+        (Printf.sprintf "%s: %s is not accepted (takes %s)" cmd flag
+           (String.concat " " takes))
     | "-s" :: s :: rest ->
       strat := or_usage (Ppat_core.Strategy.of_string ~name:"-s" s);
       go rest
@@ -926,8 +898,7 @@ let parse_flags rest =
     | "--budget" :: n :: rest ->
       budget := pos_int "--budget" n;
       go rest
-    | arg :: _ ->
-      usage_error (Printf.sprintf "unexpected argument %S; run 'ppat' for usage" arg)
+    | flag :: _ -> usage_error (Printf.sprintf "%s: %s needs a value" cmd flag)
   in
   go rest;
   {
@@ -942,45 +913,51 @@ let parse_flags rest =
     f_budget = !budget;
   }
 
-(* a flag the command parses but does not use is a usage error *)
-let reject_output cmd f ~json =
-  if json && f.f_json <> None then
-    usage_error (Printf.sprintf "%s: --json is not accepted; see 'profile'" cmd);
-  if f.f_chrome <> None then
-    usage_error
-      (Printf.sprintf "%s: --chrome-trace applies to 'profile' only" cmd)
+(* what every simulating command reads *)
+let sim_flags = [ "-s"; "--engine"; "--cost-model"; "--sim-jobs"; "--shuffle" ]
 
 let () =
   match Array.to_list Sys.argv with
   | _ :: "list" :: _ -> cmd_list ()
   | _ :: "run" :: name :: rest ->
-    let f = parse_flags rest in
-    reject_output "run" f ~json:true;
+    let f = parse_flags "run" ~takes:sim_flags rest in
     cmd_run name f.f_strat f.f_engine f.f_model f.f_sim_jobs
   | _ :: "profile" :: name :: rest ->
-    let f = parse_flags rest in
+    let f =
+      parse_flags "profile" ~takes:(sim_flags @ [ "--json"; "--chrome-trace" ])
+        rest
+    in
     cmd_profile name f.f_strat f.f_engine f.f_model f.f_sim_jobs f.f_json
       f.f_chrome
   | _ :: "report" :: name :: rest ->
-    let f = parse_flags rest in
-    reject_output "report" f ~json:false;
+    let f = parse_flags "report" ~takes:(sim_flags @ [ "--json" ]) rest in
     cmd_report name f.f_strat f.f_engine f.f_model f.f_sim_jobs f.f_json
   | _ :: "trace-search" :: name :: rest ->
-    let f = parse_flags rest in
-    reject_output "trace-search" f ~json:false;
+    let f =
+      parse_flags "trace-search"
+        ~takes:[ "-s"; "--cost-model"; "--json"; "--shuffle" ]
+        rest
+    in
     cmd_trace_search name f.f_strat f.f_model f.f_json
   | _ :: "modelcmp" :: name :: rest ->
-    let f = parse_flags rest in
-    reject_output "modelcmp" f ~json:false;
+    let f =
+      parse_flags "modelcmp"
+        ~takes:[ "--engine"; "--top"; "--json"; "--shuffle" ]
+        rest
+    in
     cmd_modelcmp name f.f_engine f.f_top f.f_json
   | _ :: "sweep" :: name :: rest ->
-    let f = parse_flags rest in
-    reject_output "sweep" f ~json:false;
+    let f =
+      parse_flags "sweep"
+        ~takes:
+          [ "--engine"; "--budget"; "--jobs"; "--sim-jobs"; "--json"; "--shuffle" ]
+        rest
+    in
     cmd_sweep name f.f_engine f.f_sim_jobs f.f_jobs f.f_budget f.f_json
   | _ :: "serve" :: rest -> cmd_serve rest
   | _ :: "racecheck" :: rest -> cmd_racecheck rest
   | _ :: "cuda" :: name :: rest ->
-    let _ = parse_flags rest in
+    ignore (parse_flags "cuda" ~takes:[ "--shuffle" ] rest);
     cmd_cuda name
   | [ _; "explain"; name ] -> cmd_explain name
   | _ :: "explain" :: _ :: arg :: _ ->

@@ -1559,8 +1559,8 @@ let rec lower dev ?(opts = default_options) ~params (prog : Pat.prog)
       in
       { launches = [ main; comb ]; temps = !temps; notes = !notes })
 
-(* ----- canonical keys over a whole lowering, for the sweep evaluator's
-   shape grouping and for candidate dedup ----- *)
+(* ----- the canonical shape key over a whole lowering, reported per
+   candidate by the sweep evaluator ----- *)
 
 let shape_key (l : lowered) =
   Digest.to_hex
@@ -1568,12 +1568,4 @@ let shape_key (l : lowered) =
        (Marshal.to_string
           ( List.map Kir.shape_fingerprint l.launches,
             List.map (fun (t : temp) -> (t.tname, t.telem)) l.temps )
-          []))
-
-let exact_key (l : lowered) =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( List.map Kir.exact_fingerprint l.launches,
-            List.map (fun (t : temp) -> (t.tname, t.telem, t.telems)) l.temps )
           []))

@@ -95,11 +95,5 @@ val shape_key : lowered -> string
 (** Digest of the lowering's {e mapping shape}: per-launch
     {!Ppat_kernel.Kir.shape_fingerprint}s plus temp names and element
     types (sizes dropped). Candidates sharing this key differ only in
-    geometry / block / DOP parameters — the grouping key the batched
-    sweep stages once per group. *)
-
-val exact_key : lowered -> string
-(** Digest of the lowering exactly as it will execute (per-launch
-    {!Ppat_kernel.Kir.exact_fingerprint}s plus fully-sized temps).
-    Candidates sharing this key run bit-identically; the sweep and
-    [ppat modelcmp] simulate one representative per key. *)
+    geometry / block / DOP parameters; the sweep reports it per
+    candidate. *)

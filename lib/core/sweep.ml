@@ -1,4 +1,4 @@
-(* Batched mapping-space evaluation, pure side (the paper's Algorithm 1
+(* Mapping-space evaluation, pure side (the paper's Algorithm 1
    turned into a population evaluator).
 
    The harness executes candidate populations (lib/harness/runner.ml);
@@ -11,8 +11,7 @@
    after. *)
 
 (* group candidate indices [0, n) by [key], preserving first-seen group
-   order and in-group index order; the first index of each group is the
-   representative the sweep stages *)
+   order and in-group index order *)
 let group_by ~key n =
   let tbl = Hashtbl.create 64 in
   let order = ref [] in

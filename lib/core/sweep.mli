@@ -1,12 +1,10 @@
-(** Batched mapping-space evaluation, pure side.
+(** Mapping-space evaluation, pure side.
 
-    The batched evaluator in [lib/harness/runner.ml] executes candidate
+    The sweep evaluator in [lib/harness/runner.ml] executes candidate
     populations; this module owns the parts that need no simulator:
 
     - {!group_by}: partition a population by mapping shape
-      ({!Ppat_codegen.Lower.shape_key} digests) so the harness stages one
-      representative per shape and evaluates the rest through the shape's
-      frozen plan skeleton.
+      ({!Ppat_codegen.Lower.shape_key} digests), which the sweep reports.
     - {!rank_disagreement} / {!select}: the active-learning policy — a
       simulation budget goes to the candidates whose rank differs most
       across cost models, plus each model's incumbent.
@@ -20,7 +18,7 @@ val group_by : key:(int -> string option) -> int -> (string * int list) list
 (** [group_by ~key n] partitions candidate indices [0..n-1] by [key],
     preserving first-seen group order and ascending index order within a
     group; indices whose key is [None] (unlowerable candidates) are
-    dropped. The head of each member list is the group's representative. *)
+    dropped. *)
 
 val rank_disagreement : int array list -> int -> float array
 (** [rank_disagreement positions n]: [positions] holds one array per cost

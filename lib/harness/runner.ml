@@ -70,157 +70,10 @@ let decide_all ?model ?memo dev (prog : Pat.prog) params strategy =
   List.iter step prog.steps;
   !decisions
 
-let exec_steps ?engine ?sim_jobs ?(attr = false) dev prog ~opts ~params
-    ~mapping_of ?(via_of = fun _ -> "") ?(predicted_of = fun _ -> None)
-    (data : Host.data) =
-  (match Pat.validate prog with
-   | Ok () -> ()
-   | Error e -> failwith ("invalid program: " ^ e));
-  let params = Host.params_of prog params in
-  let mem = Memory.create () in
-  List.iter (fun (name, buf) -> ignore (Memory.load mem name buf))
-    (Host.alloc_all prog params data);
-  let total_time = ref 0. in
-  let kernels = ref 0 in
-  let agg = Stats.create () in
-  let notes = ref [] in
-  let records = ref [] in
-  let rec step cur_params (s : Pat.step) =
-    match s with
-    | Pat.Launch n ->
-      let mapping = mapping_of n.pat.Pat.pid in
-      let lowered =
-        Lower.lower dev ~opts ~params:cur_params prog n mapping
-      in
-      List.iter
-        (fun (t : Lower.temp) ->
-          ignore
-            (match t.telem with
-             | Ty.F64 -> Memory.alloc_f mem t.tname t.telems
-             | Ty.I32 | Ty.Bool -> Memory.alloc_i mem t.tname t.telems))
-        lowered.temps;
-      List.iteri
-        (fun li (l : Ppat_kernel.Kir.launch) ->
-          (* per-site attribution: the canonical annotation pass sizes the
-             matrix; both engines fill it bit-identically *)
-          let site_attr =
-            if not attr then None
-            else
-              let infos, _ = Ppat_kernel.Site.annotate l.kernel in
-              Some
-                ( infos,
-                  Ppat_gpu.Site_stats.create (Array.length infos) )
-          in
-          (* real wall time, not CPU time: with [sim_jobs > 1] the
-             interesting number is elapsed time across all domains *)
-          let wall0 = Unix.gettimeofday () in
-          let s =
-            Interp.run ?engine ?jobs:sim_jobs
-              ?attr:(Option.map snd site_attr)
-              dev mem l
-          in
-          let wall = Unix.gettimeofday () -. wall0 in
-          Stats.add agg s;
-          let b = Timing.kernel_estimate dev (Ppat_kernel.Kir.geometry l) s in
-          total_time := !total_time +. b.Timing.seconds;
-          records :=
-            {
-              Record.index = !kernels;
-              label = n.pat.Pat.label;
-              kname = l.kernel.Ppat_kernel.Kir.kname;
-              grid = l.Ppat_kernel.Kir.grid;
-              block = l.Ppat_kernel.Kir.block;
-              mapping;
-              via = via_of n.pat.Pat.pid;
-              stats = Stats.copy s;
-              breakdown = b;
-              sim_wall_seconds = wall;
-              (* the decision's prediction models the pattern's main
-                 kernel; combiner launches have no prediction of their
-                 own *)
-              predicted =
-                (if li = 0 then predicted_of n.pat.Pat.pid else None);
-              site_attr;
-            }
-            :: !records;
-          incr kernels)
-        lowered.launches;
-      notes := lowered.notes @ !notes
-    | Pat.Host_loop { var; count; body } ->
-      let n = Ty.extent_value cur_params count in
-      for i = 0 to n - 1 do
-        List.iter (step ((var, i) :: cur_params)) body
-      done
-    | Pat.Swap (a, b) -> Memory.swap mem a b
-    | Pat.While_flag { flag; max_iter; body } ->
-      let continue_ = ref true and iters = ref 0 in
-      while !continue_ && !iters < max_iter do
-        (match (Memory.find mem flag).data with
-         | Host.I a -> a.(0) <- 0
-         | Host.F a -> a.(0) <- 0.);
-        List.iter (step cur_params) body;
-        (match (Memory.find mem flag).data with
-         | Host.I a -> continue_ := a.(0) <> 0
-         | Host.F a -> continue_ := a.(0) <> 0.);
-        incr iters
-      done
-  in
-  List.iter (step params) prog.steps;
-  let out =
-    List.map
-      (fun (b : Pat.buffer) -> (b.bname, Memory.to_host mem b.bname))
-      prog.buffers
-  in
-  (!total_time, !kernels, agg, out, List.rev !notes, List.rev !records)
-
-let run_gpu ?engine ?sim_jobs ?attr ?(opts = Lower.effective_options ())
-    ?(params = []) ?model ?memo dev prog strategy data =
-  let decisions = decide_all ?model ?memo dev prog params strategy in
-  let mapping_of pid =
-    (List.assoc pid decisions).Strategy.mapping
-  in
-  let via_of pid =
-    match List.assoc_opt pid decisions with
-    | Some d -> d.Strategy.via
-    | None -> ""
-  in
-  let predicted_of pid =
-    match List.assoc_opt pid decisions with
-    | Some d -> d.Strategy.predicted
-    | None -> None
-  in
-  let seconds, kernels, stats, out, notes, profile =
-    exec_steps ?engine ?sim_jobs ?attr dev prog ~opts ~params ~mapping_of
-      ~via_of ~predicted_of data
-  in
-  let label_of pid =
-    let found = ref "" in
-    Pat.iter_patterns
-      (fun lvl p -> if lvl = 0 && p.Pat.pid = pid then found := p.Pat.label)
-      prog;
-    !found
-  in
-  {
-    seconds;
-    kernels;
-    stats;
-    data = out;
-    decisions = List.map (fun (pid, d) -> (label_of pid, d)) decisions;
-    notes;
-    profile;
-  }
-
-let run_gpu_mapped ?engine ?sim_jobs ?attr ?(opts = Lower.effective_options ())
-    ?(params = []) dev prog mapping_of data =
-  let seconds, kernels, stats, out, notes, profile =
-    exec_steps ?engine ?sim_jobs ?attr dev prog ~opts ~params ~mapping_of
-      ~via_of:(fun _ -> "explicit mapping")
-      data
-  in
-  { seconds; kernels; stats; data = out; decisions = []; notes; profile }
-
-(* ----- staged plans: pay search + lowering + closure compilation once,
-   replay against fresh data paying simulation cost only ----- *)
+(* ----- the one execution walk: every run stages its launches (lowering
+   plus closure compilation) and executes them; a cold run is a staging
+   whose plan is dropped, a replay re-runs a kept plan against fresh data
+   paying simulation cost only ----- *)
 
 module Staged = Ppat_kernel.Staged
 module Site = Ppat_kernel.Site
@@ -252,12 +105,16 @@ type staged_run = {
    mutates the accumulator refs the caller owns *)
 let run_and_record ~jobs ~attr ~agg ~total_time ~kernels ~records dev mem
     (sl : launch_meta Staged.slaunch) =
+  (* per-site attribution: the canonical annotation pass sizes the
+     matrix; both engines fill it bit-identically *)
   let site_attr =
     if not attr then None
     else
       let infos, _ = Site.annotate sl.Staged.launch.Kir.kernel in
       Some (infos, Ppat_gpu.Site_stats.create (Array.length infos))
   in
+  (* real wall time, not CPU time: with [sim_jobs > 1] the interesting
+     number is elapsed time across all domains *)
   let wall0 = Unix.gettimeofday () in
   let s =
     Staged.run_slaunch ~jobs ?attr:(Option.map snd site_attr) dev mem sl
@@ -279,6 +136,8 @@ let run_and_record ~jobs ~attr ~agg ~total_time ~kernels ~records dev mem
       stats = Stats.copy s;
       breakdown = b;
       sim_wall_seconds = wall;
+      (* the decision's prediction models the pattern's main kernel;
+         combiner launches have no prediction of their own *)
       predicted = (if meta.m_li = 0 then meta.m_predicted else None);
       site_attr;
     }
@@ -494,12 +353,28 @@ let stage ?engine ?sim_jobs ?attr ?opts ?params dev prog ~decisions data =
       (List.map (fun (pid, d) -> (label_of_pid prog pid, d)) decisions)
     data
 
-let stage_mapped ?engine ?sim_jobs ?attr ?opts ?params dev prog mapping_of
-    data =
+let run_gpu ?engine ?sim_jobs ?attr ?opts ?params ?model ?memo dev prog
+    strategy data =
+  let decisions =
+    decide_all ?model ?memo dev prog (Option.value params ~default:[]) strategy
+  in
+  (stage ?engine ?sim_jobs ?attr ?opts ?params dev prog ~decisions data)
+    .st_result
+
+(* an explicit mapping per top-level pattern instead of search decisions:
+   no decisions, no predictions, and [via] names the caller *)
+let stage_explicit ~via ?engine ?sim_jobs ?attr ?opts ?params dev prog
+    mapping_of data =
   stage_gen ?engine ?sim_jobs ?attr ?opts ?params dev prog ~mapping_of
-    ~via_of:(fun _ -> "sweep")
+    ~via_of:(fun _ -> via)
     ~predicted_of:(fun _ -> None)
     ~labelled:[] data
+
+let run_gpu_mapped ?engine ?sim_jobs ?attr ?opts ?params dev prog mapping_of
+    data =
+  (stage_explicit ~via:"explicit mapping" ?engine ?sim_jobs ?attr ?opts
+     ?params dev prog mapping_of data)
+    .st_result
 
 let replay ?sim_jobs ?(attr = false) (p : plan) data =
   let jobs =
@@ -606,18 +481,13 @@ let check ?(eps = 1e-6) ?(unordered = []) ?only (prog : Pat.prog) ~expected
     in
     Error (String.concat "; " (missing_msg @ mismatch_msg))
 
-(* ----- batched mapping-space sweeps: stage once per shape, replay the
-   rest of the population through the shape's frozen skeleton ----- *)
+(* ----- mapping-space sweeps: every candidate is one cold run through
+   the staging walk; shape keys are reported, not acted on ----- *)
 
 module Sweep = Ppat_core.Sweep
 
 let sweep_candidates_evaluated =
   Ppat_metrics.Metrics.counter "sweep.candidates_evaluated"
-
-let sweep_shapes_staged = Ppat_metrics.Metrics.counter "sweep.shapes_staged"
-
-let sweep_candidates_replayed =
-  Ppat_metrics.Metrics.counter "sweep.candidates_replayed"
 
 (* the deterministic fields of a result, digested: timing-model seconds,
    counted statistics, output buffers, and the per-kernel records minus
@@ -644,7 +514,6 @@ let result_digest (r : gpu_result) =
 type sweep_candidate = {
   sc_mapping : Mapping.t;
   sc_shape : string option;
-  sc_staged : bool;
   sc_result : (gpu_result, string) result;
   sc_digest : string option;
   sc_target_seconds : float option;
@@ -654,8 +523,6 @@ type sweep_candidate = {
 type sweep_stats = {
   sw_candidates : int;
   sw_shapes : int;
-  sw_staged : int;
-  sw_replayed : int;
   sw_failed : int;
   sw_stage_seconds : float;
   sw_wall_seconds : float;
@@ -697,19 +564,6 @@ let sweep_mapped ?engine ?sim_jobs ?(jobs = 1)
         | exception Failure e -> Error e)
       cands
   in
-  let groups =
-    Sweep.group_by
-      ~key:(fun i ->
-        match shapes.(i) with Ok k -> Some k | Error _ -> None)
-      n
-  in
-  let representative = Hashtbl.create 64 in
-  List.iter
-    (fun (_, members) ->
-      match members with
-      | i :: _ -> Hashtbl.replace representative i ()
-      | [] -> ())
-    groups;
   let mapping_of_cand m pid =
     if pid = target_pid then m
     else
@@ -719,75 +573,32 @@ let sweep_mapped ?engine ?sim_jobs ?(jobs = 1)
         failwith (Printf.sprintf "sweep: no base mapping for pattern %d" pid)
   in
   let eval i =
-    match shapes.(i) with
-    | Error e ->
-      Ppat_metrics.Metrics.incr sweep_candidates_evaluated;
+    Ppat_metrics.Metrics.incr sweep_candidates_evaluated;
+    let failed shape e =
       {
         sc_mapping = cands.(i);
-        sc_shape = None;
-        sc_staged = false;
+        sc_shape = shape;
         sc_result = Error e;
         sc_digest = None;
         sc_target_seconds = None;
         sc_stage_seconds = 0.;
       }
+    in
+    match shapes.(i) with
+    | Error e -> failed None e
     | Ok shape -> (
-      let mapping_of = mapping_of_cand cands.(i) in
-      let staged = Hashtbl.mem representative i in
-      let outcome =
-        try
-          if staged then begin
-            (* the group representative goes through the full staged-plans
-               path: its cold run is the candidate's evaluation and the
-               recorded plan is the shape's reusable skeleton *)
-            let sr =
-              stage_mapped ?engine ?sim_jobs ~opts ~params dev prog
-                mapping_of data
-            in
-            Ppat_metrics.Metrics.incr sweep_shapes_staged;
-            Ok (sr.st_result, sr.st_stage_seconds)
-          end
-          else begin
-            (* same-shape members skip staging: shared validated program
-               and input slabs, a fresh memory image per candidate (temp
-               base addresses feed the sliced-L2 model, so sharing one
-               image would perturb hit counts), only geometry constants
-               re-specialised *)
-            let seconds, kernels, stats, out, notes, profile =
-              exec_steps ?engine ?sim_jobs dev prog ~opts ~params ~mapping_of
-                ~via_of:(fun _ -> "sweep")
-                data
-            in
-            Ppat_metrics.Metrics.incr sweep_candidates_replayed;
-            Ok
-              ( {
-                  seconds;
-                  kernels;
-                  stats;
-                  data = out;
-                  decisions = [];
-                  notes;
-                  profile;
-                },
-                0. )
-          end
-        with
-        | Lower.Unsupported e -> Error ("unsupported: " ^ e)
-        | Failure e -> Error e
-      in
-      Ppat_metrics.Metrics.incr sweep_candidates_evaluated;
-      match outcome with
-      | Error e ->
-        {
-          sc_mapping = cands.(i);
-          sc_shape = Some shape;
-          sc_staged = staged;
-          sc_result = Error e;
-          sc_digest = None;
-          sc_target_seconds = None;
-          sc_stage_seconds = 0.;
-        }
-      | Ok (r, stage_s) ->
+      (* every candidate gets a fresh memory image: temp base addresses
+         feed the sliced-L2 model, so sharing one would perturb hit
+         counts *)
+      match
+        stage_explicit ~via:"sweep" ?engine ?sim_jobs ~opts ~params dev prog
+          (mapping_of_cand cands.(i))
+          data
+      with
+      | exception Lower.Unsupported e -> failed (Some shape) ("unsupported: " ^ e)
+      | exception Failure e -> failed (Some shape) e
+      | sr ->
+        let r = sr.st_result in
         let target_seconds =
           List.fold_left
             (fun acc (k : Record.kernel) ->
@@ -799,31 +610,29 @@ let sweep_mapped ?engine ?sim_jobs ?(jobs = 1)
         {
           sc_mapping = cands.(i);
           sc_shape = Some shape;
-          sc_staged = staged;
           sc_result = Ok r;
           sc_digest = Some (result_digest r);
           sc_target_seconds = Some target_seconds;
-          sc_stage_seconds = stage_s;
+          sc_stage_seconds = sr.st_stage_seconds;
         })
   in
   let results = Ppat_parallel.pool_run ~jobs n eval in
-  let sw_staged = ref 0 and sw_replayed = ref 0 and sw_failed = ref 0 in
-  let sw_stage_seconds = ref 0. in
-  Array.iter
-    (fun c ->
-      sw_stage_seconds := !sw_stage_seconds +. c.sc_stage_seconds;
-      match c.sc_result with
-      | Error _ -> incr sw_failed
-      | Ok _ -> if c.sc_staged then incr sw_staged else incr sw_replayed)
-    results;
+  let shape_count =
+    List.length
+      (Sweep.group_by
+         ~key:(fun i -> Result.to_option shapes.(i))
+         n)
+  in
   ( results,
     {
       sw_candidates = n;
-      sw_shapes = List.length groups;
-      sw_staged = !sw_staged;
-      sw_replayed = !sw_replayed;
-      sw_failed = !sw_failed;
-      sw_stage_seconds = !sw_stage_seconds;
+      sw_shapes = shape_count;
+      sw_failed =
+        Array.fold_left
+          (fun acc c -> if Result.is_error c.sc_result then acc + 1 else acc)
+          0 results;
+      sw_stage_seconds =
+        Array.fold_left (fun acc c -> acc +. c.sc_stage_seconds) 0. results;
       sw_wall_seconds = Unix.gettimeofday () -. t0;
     } )
 

@@ -47,7 +47,9 @@ val run_gpu :
     statistics are independent of it, only wall clock changes.
     [attr] (default false) collects per-access-site counter attribution
     into each profile record's [site_attr] — engine- and jobs-invariant,
-    summing exactly to the launch's aggregate stats. *)
+    summing exactly to the launch's aggregate stats.
+
+    It is {!decide_all} followed by {!stage}, with the plan dropped. *)
 
 val run_gpu_mapped :
   ?engine:Ppat_kernel.Interp.engine ->
@@ -60,8 +62,10 @@ val run_gpu_mapped :
   (int -> Ppat_core.Mapping.t) ->
   Ppat_ir.Host.data ->
   gpu_result
-(** Like {!run_gpu} with an explicit mapping per top-level pattern pid —
-    used by the mapping-space sweep of Figure 17. *)
+(** Like {!run_gpu} with an explicit mapping per top-level pattern pid
+    instead of search decisions: the same staging walk, plan dropped; the
+    result carries no decisions and its records say
+    [via = "explicit mapping"]. *)
 
 type cpu_result = {
   cpu_seconds : float;  (** multi-core cost-model estimate *)
@@ -103,12 +107,16 @@ val analysis_params :
 
 (** {2 Staged plans}
 
-    The serving path splits {!run_gpu} into its cacheable phases: decide
-    (memoisable through {!Ppat_core.Search_memo}), stage (build a replayable
-    {!plan} while performing the cold run), and replay (re-run the plan
-    against fresh data, paying simulation cost only). A replayed result is
-    bit-identical to a cold run of the same program — same statistics, same
-    buffer contents — under either engine and any [sim_jobs]. *)
+    Every run in this module walks the host program once, in {!stage}:
+    each launch is lowered, staged (compiled against the run's memory)
+    and executed, and the walk records a replayable {!plan} as it goes. A
+    cold run ({!run_gpu}, {!run_gpu_mapped}, a sweep candidate) is a
+    staging whose plan is dropped. The serving path keeps the phases
+    apart: decide (memoisable through {!Ppat_core.Search_memo}), stage,
+    and replay (re-run the plan against fresh data, paying simulation
+    cost only). A replayed result is bit-identical to a cold run of the
+    same program — same statistics, same buffer contents — under either
+    engine and any [sim_jobs]. *)
 
 val decide_all :
   ?model:Ppat_core.Cost_model.kind ->
@@ -149,8 +157,8 @@ val stage :
   decisions:(int * Ppat_core.Strategy.decision) list ->
   Ppat_ir.Host.data ->
   staged_run
-(** Execute the program once (exactly like {!run_gpu} with the given
-    [decisions]) while recording a replayable plan. Within one staging,
+(** Execute the program once with the given [decisions] (this is the
+    cold run) while recording a replayable plan. Within one staging,
     identical launches (kernel, geometry, launch params, memory epoch)
     share one compiled closure through the ["kernel_stage"] cache. *)
 
@@ -164,31 +172,14 @@ val replay :
     does not fit the plan (a buffer changed shape or type) and the caller
     should fall back to a cold run. *)
 
-val stage_mapped :
-  ?engine:Ppat_kernel.Interp.engine ->
-  ?sim_jobs:int ->
-  ?attr:bool ->
-  ?opts:Ppat_codegen.Lower.options ->
-  ?params:(string * int) list ->
-  Ppat_gpu.Device.t ->
-  Ppat_ir.Pat.prog ->
-  (int -> Ppat_core.Mapping.t) ->
-  Ppat_ir.Host.data ->
-  staged_run
-(** {!stage} with an explicit mapping per top-level pattern pid instead of
-    search decisions — the staging entry point of the batched sweep. The
-    result carries no decisions and its records say [via = "sweep"]. *)
+(** {2 Mapping-space sweeps}
 
-(** {2 Batched sweeps}
-
-    A candidate population usually collapses onto far fewer mapping
-    {e shapes} — kernel structures identical up to geometry and constant
-    parameters ({!Ppat_codegen.Lower.shape_key}). The sweep stages one
-    representative per shape through the staged-plans path above and runs
-    the remaining members through the plain execution path against the
-    shared validated program and input slabs; every candidate gets a fresh
-    memory image, which is what makes each result bit-identical to a
-    one-at-a-time {!run_gpu_mapped} of the same mapping. *)
+    A sweep evaluates a candidate population one cold run per candidate,
+    each through the staging walk above with a fresh memory image, so
+    every result is bit-identical to a one-at-a-time {!run_gpu_mapped} of
+    the same mapping. Candidates are also keyed by mapping {e shape} —
+    kernel structure identical up to geometry and constant parameters
+    ({!Ppat_codegen.Lower.shape_key}) — for reporting only. *)
 
 val result_digest : gpu_result -> string
 (** Hex digest of a result's deterministic content: model seconds, kernel
@@ -196,26 +187,25 @@ val result_digest : gpu_result -> string
     record's label/geometry/mapping/breakdown. Simulator wall clock and
     provenance fields ([via], [predicted]) are excluded, so two
     evaluations of the same candidate digest equal regardless of engine
-    path, [sim_jobs], or whether the sweep staged or replayed it. *)
+    path or [sim_jobs]. *)
 
 type sweep_candidate = {
   sc_mapping : Ppat_core.Mapping.t;
   sc_shape : string option;
       (** the candidate's shape key; [None] when it does not lower *)
-  sc_staged : bool;  (** this candidate was its shape's representative *)
   sc_result : (gpu_result, string) result;
   sc_digest : string option;  (** {!result_digest} of a successful run *)
   sc_target_seconds : float option;
       (** summed model seconds of the target pattern's kernels — the
           quantity candidate mappings compete on *)
-  sc_stage_seconds : float;  (** staging wall clock; 0 for replays *)
+  sc_stage_seconds : float;
+      (** wall clock spent lowering and compiling the candidate's launches;
+          0 for a failure *)
 }
 
 type sweep_stats = {
   sw_candidates : int;
   sw_shapes : int;  (** distinct shape keys among lowerable candidates *)
-  sw_staged : int;  (** successful representative stagings *)
-  sw_replayed : int;  (** successful non-representative evaluations *)
   sw_failed : int;
   sw_stage_seconds : float;  (** summed staging wall clock *)
   sw_wall_seconds : float;  (** whole-sweep wall clock *)
@@ -238,10 +228,8 @@ val sweep_mapped :
     [target_pid], holding every other top-level pattern at its [base]
     mapping. Candidates fan out over the {!Ppat_parallel} pool ([jobs],
     default 1); per-candidate results and digests are independent of
-    [jobs] and of grouping. Counts every evaluation, staging and replay on
-    the [sweep.candidates_evaluated] / [sweep.shapes_staged] /
-    [sweep.candidates_replayed] metrics — a finished sweep asserts
-    "each shape staged exactly once" as [sw_staged = sw_shapes]. *)
+    [jobs] and of the population around them. Counts every evaluation on
+    the [sweep.candidates_evaluated] metric. *)
 
 (** {2 Mapping spaces} *)
 

@@ -138,8 +138,23 @@ type _ Effect.t += Sync_eff : unit Effect.t
 
 (* ----- the interpreter ----- *)
 
+(* the launch checks every engine and the staged path apply before
+   simulating *)
+let validate (dev : Device.t) (l : Kir.launch) =
+  let k = l.kernel in
+  let bx, by, bz = l.block in
+  let gx, gy, gz = l.grid in
+  let tpb = bx * by * bz in
+  if tpb <= 0 || gx <= 0 || gy <= 0 || gz <= 0 then
+    trap "kernel %s: empty launch %dx%dx%d / %dx%dx%d" k.kname gx gy gz bx by
+      bz;
+  if tpb > dev.max_threads_per_block then
+    trap "kernel %s: block of %d threads exceeds device limit %d" k.kname tpb
+      dev.max_threads_per_block
+
 let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
     (l : Kir.launch) : Stats.t =
+  validate dev l;
   let k = l.kernel in
   (* one canonical site numbering per launch; the compiled engine derives
      the same ids from the same pass, which is what makes the two engines'
@@ -149,12 +164,6 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
   let bx, by, bz = l.block in
   let gx, gy, gz = l.grid in
   let tpb = bx * by * bz in
-  if tpb <= 0 || gx <= 0 || gy <= 0 || gz <= 0 then
-    trap "kernel %s: empty launch %dx%dx%d / %dx%dx%d" k.kname gx gy gz bx by
-      bz;
-  if tpb > dev.max_threads_per_block then
-    trap "kernel %s: block of %d threads exceeds device limit %d" k.kname tpb
-      dev.max_threads_per_block;
   let param name =
     match List.assoc_opt name l.kparams with
     | Some v -> v
@@ -570,20 +579,6 @@ let effective_jobs ~jobs (l : Kir.launch) =
     1
   end
   else jobs
-
-(* launch validation is shared by both engines; the reference engine
-   re-checks harmlessly *)
-let validate (dev : Device.t) (l : Kir.launch) =
-  let k = l.kernel in
-  let bx, by, bz = l.block in
-  let gx, gy, gz = l.grid in
-  let tpb = bx * by * bz in
-  if tpb <= 0 || gx <= 0 || gy <= 0 || gz <= 0 then
-    trap "kernel %s: empty launch %dx%dx%d / %dx%dx%d" k.kname gx gy gz bx by
-      bz;
-  if tpb > dev.max_threads_per_block then
-    trap "kernel %s: block of %d threads exceeds device limit %d" k.kname tpb
-      dev.max_threads_per_block
 
 let run ?engine ?jobs ?attr (dev : Device.t) (mem : Memory.t)
     (l : Kir.launch) : Stats.t =

@@ -73,6 +73,13 @@ val effective_jobs : jobs:int -> Kir.launch -> int
     {!run} and the staged-replay path ({!Staged}) route through this so
     the gating policy and its counters live in one place. *)
 
+val validate : Ppat_gpu.Device.t -> Kir.launch -> unit
+(** The launch checks applied before any simulation: raises {!Trap} on an
+    empty grid or block ("empty launch") and on a block larger than the
+    device's thread limit. {!run} (either engine) and
+    {!Staged.stage_launch} both apply it, so a bad launch traps with the
+    same message on every path. *)
+
 val run :
   ?engine:engine ->
   ?jobs:int ->

@@ -411,7 +411,3 @@ let shape_fingerprint (l : launch) =
             List.map (fun (d : smem_decl) -> (d.sname, d.selem)) l.kernel.smem,
             List.map fst l.kparams )
           []))
-
-let exact_fingerprint (l : launch) =
-  Digest.to_hex
-    (Digest.string (Marshal.to_string (l.kernel, l.grid, l.block, l.kparams) []))

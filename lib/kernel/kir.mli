@@ -138,10 +138,4 @@ val shape_fingerprint : launch -> string
     {e values} dropped (names and element types kept) and the grid/block
     geometry ignored. Two candidate mappings whose lowered code differs
     only in geometry, tile extents or DOP parameters collide here — the
-    grouping key of the batched sweep evaluator. *)
-
-val exact_fingerprint : launch -> string
-(** Digest of the launch exactly as it will execute: kernel, geometry and
-    kernel-parameter values. Candidates that collide here produce
-    bit-identical simulations, so the sweep/modelcmp paths simulate one
-    representative and share the result. *)
+    shape key the sweep evaluator reports. *)

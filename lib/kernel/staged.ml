@@ -50,6 +50,7 @@ let launch_digest (l : Kir.launch) =
        (Marshal.to_string (l.Kir.kernel, l.Kir.grid, l.Kir.block, l.Kir.kparams) []))
 
 let stage_launch ?cache dev mem (l : Kir.launch) ~meta =
+  Interp.validate dev l;
   let compiled =
     let doit () =
       Metrics.span ~cat:"staging" "compile launch" (fun () ->

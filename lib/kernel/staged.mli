@@ -79,9 +79,10 @@ val stage_launch :
   Kir.launch ->
   meta:'m ->
   'm slaunch
-(** Compile one launch against the staging memory (through [cache] when
-    given). Compile rejections become [Fallback] with the engine's
-    fallback accounting, mirroring what {!Interp.run} would do. *)
+(** Validate one launch ({!Interp.validate}: traps on an empty or
+    oversized launch) and compile it against the staging memory (through
+    [cache] when given). Compile rejections become [Fallback] with the
+    engine's fallback accounting, mirroring what {!Interp.run} would do. *)
 
 val reference_slaunch : Kir.launch -> meta:'m -> 'm slaunch
 (** A plan entry that always replays on the reference engine — used when

@@ -121,7 +121,8 @@ let params_field j =
 let req_of_json j =
   let rq_engine =
     parse_field Interp.engine_of_string "engine"
-      (str_field ~default:"compiled" j "engine")
+      (str_field ~default:(Interp.engine_name (Interp.default_engine ())) j
+         "engine")
   in
   let rq_model =
     let s = str_field ~default:(Cost_model.name (Cost_model.default ())) j

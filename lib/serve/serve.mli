@@ -30,7 +30,9 @@
      "profile": false, "no_cache": false}
     v}
 
-    Every field but ["app"] is optional; ["params"] overrides go through
+    Every field but ["app"] is optional; ["engine"], ["cost_model"] and
+    ["sim_jobs"] default from [PPAT_ENGINE], [PPAT_COST_MODEL] and
+    [PPAT_SIM_JOBS] as on the command line. ["params"] overrides go through
     {!Ppat_apps.App.with_params}, so a derived size follows its primary
     and a broken app invariant is an error naming the parameter. The
     response carries the

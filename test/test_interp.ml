@@ -269,6 +269,55 @@ let test_traps () =
   expect_trap "unbound param" (fun () ->
       run mem (kernel "par" [ Kir.Store_g ("a", Kir.Param "zz", Kir.Float 0.) ]))
 
+(* a launch the device cannot run traps with one message on every path:
+   Interp.run under either engine, and a staged launch (compiled or
+   reference) run the way the runner runs it *)
+let test_launch_validation () =
+  let module Staged = Ppat_kernel.Staged in
+  let trap_of f =
+    match f () with _ -> None | exception Interp.Trap m -> Some m
+  in
+  let k =
+    {
+      (kernel "fill" [ Kir.Store_g ("a", Kir.Tid Kir.X, Kir.Float 1.) ]) with
+      Kir.nregs = 0;
+      reg_names = [||];
+      reg_types = [||];
+    }
+  in
+  List.iter
+    (fun (what, grid, block, says) ->
+      let mem = Memory.create () in
+      farr mem "a" (Array.make 2048 0.);
+      let l = { Kir.kernel = k; grid; block; kparams = [] } in
+      let want =
+        trap_of (fun () -> Interp.run ~engine:Interp.Compiled dev mem l)
+      in
+      Alcotest.(check bool)
+        (what ^ ": Interp.run names the fault")
+        true
+        (match want with
+         | Some m -> Astring_like.contains m says
+         | None -> false);
+      List.iter
+        (fun (path, f) ->
+          Alcotest.(check (option string)) (what ^ ": " ^ path) want (trap_of f))
+        [
+          ( "reference engine",
+            fun () -> Interp.run ~engine:Interp.Reference dev mem l );
+          ( "staged compiled",
+            fun () ->
+              Staged.run_slaunch dev mem (Staged.stage_launch dev mem l ~meta:())
+          );
+          ( "staged reference",
+            fun () ->
+              Staged.run_slaunch dev mem (Staged.reference_slaunch l ~meta:()) );
+        ])
+    [
+      ("oversized block", (1, 1, 1), (2048, 1, 1), "exceeds device limit 1024");
+      ("empty grid", (0, 1, 1), (32, 1, 1), "empty launch");
+    ]
+
 let test_partial_warp () =
   (* 20-thread block: only existing lanes run, sync still legal *)
   let mem = Memory.create () in
@@ -300,5 +349,7 @@ let tests =
     Alcotest.test_case "lane-dependent loops" `Quick
       test_for_loop_lane_dependent;
     Alcotest.test_case "traps" `Quick test_traps;
+    Alcotest.test_case "launch validation on every path" `Quick
+      test_launch_validation;
     Alcotest.test_case "partial warps" `Quick test_partial_warp;
   ]

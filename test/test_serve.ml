@@ -297,6 +297,32 @@ let test_protocol_ops () =
       && Astring_like.contains e "non-negative")
   | _ -> Alcotest.failf "negative param: expected an error, got %s" resp
 
+(* a request without "engine" runs the PPAT_ENGINE default, like the CLI:
+   under PPAT_ENGINE=reference it shares its plan with an explicit
+   reference request and not with a compiled one *)
+let test_engine_default () =
+  Test_sweep.with_env "PPAT_ENGINE" "reference" ~default:"compiled" (fun () ->
+      let server = Serve.create () in
+      let line extra =
+        J.to_string ~minify:true
+          (J.Obj
+             ([
+                ("app", J.Str "sum_rows");
+                ("params", J.Obj [ ("R", J.Int 24); ("C", J.Int 16) ]);
+                ("sim_jobs", J.Int 1);
+              ]
+             @ extra))
+      in
+      let plan extra =
+        get_str "engine default" [ "cache"; "plan" ]
+          (serve_one "engine default" server (line extra))
+      in
+      Alcotest.(check string) "defaulted request stages" "miss" (plan []);
+      Alcotest.(check string) "explicit reference reuses its plan" "hit"
+        (plan [ ("engine", J.Str "reference") ]);
+      Alcotest.(check string) "explicit compiled is another plan" "miss"
+        (plan [ ("engine", J.Str "compiled") ]))
+
 let test_protocol_batch () =
   let server = Serve.create () in
   let a = request "sum_rows" [ ("R", 32); ("C", 16) ] ~engine:"compiled"
@@ -540,6 +566,8 @@ let tests =
       (test_protocol_identity ~engine:"reference");
     Alcotest.test_case "protocol: ops, flush and malformed requests" `Quick
       test_protocol_ops;
+    Alcotest.test_case "protocol: engine defaults to PPAT_ENGINE" `Quick
+      test_engine_default;
     Alcotest.test_case "protocol: concurrent batch" `Quick test_protocol_batch;
     Alcotest.test_case "protocol: per-request profile and metrics delta" `Quick
       test_protocol_profile;

@@ -1,6 +1,6 @@
-(* The batched mapping-space evaluator: per-candidate bit-identity against
-   the one-at-a-time path (both engines, serial and parallel simulation),
-   the stage-once-per-shape metrics contract, the calibration loop's
+(* The mapping-space evaluator: per-candidate bit-identity against the
+   one-at-a-time path (both engines, serial and parallel simulation and
+   pool), its evaluation counts, the calibration loop's
    monotonicity, the pure Sweep helpers, the Jsonx non-finite guard, the
    fail-fast PPAT_* environment parsing and the strategy / engine value
    parsers the CLI and the service share. *)
@@ -13,64 +13,26 @@ module Q = QCheck2
 
 let dev = Ppat_gpu.Device.k20c
 
-(* the sweep setup every harness test shares: the target launch, its
-   analysis parameters, pid and constraints, and the deduped hard-feasible
-   candidates *)
+(* the sweep setup every harness test shares: the target pattern's pid
+   and constraints, and the deduped hard-feasible candidates *)
 let space (app : Ppat_apps.App.t) =
   let ts = Runner.target_space ~params:app.params dev app.prog in
-  ( ts.ts_target,
-    Runner.analysis_params app.prog app.params,
-    ts.ts_target.pat.Pat.pid,
-    ts.ts_collect,
-    ts.ts_candidates )
+  (ts.ts_target.pat.Pat.pid, ts.ts_collect, ts.ts_candidates)
 
 let take k a = Array.sub a 0 (min k (Array.length a))
-
-(* a subset of the population that is guaranteed to exercise both sweep
-   paths: the full membership of a few multi-candidate shape groups (so
-   some candidates replay through a staged representative's shape) plus a
-   breadth of singletons from the front of the enumeration *)
-let mixed_subset launch ap (app : Ppat_apps.App.t) cands =
-  let opts = Ppat_codegen.Lower.effective_options () in
-  let shape_of i =
-    match
-      Ppat_codegen.Lower.lower dev ~opts ~params:ap app.prog launch cands.(i)
-    with
-    | l -> Some (Ppat_codegen.Lower.shape_key l)
-    | exception _ -> None
-  in
-  let groups = Sweep.group_by ~key:shape_of (Array.length cands) in
-  let multi = List.filter (fun (_, ms) -> List.length ms >= 2) groups in
-  let multi_members =
-    List.concat_map snd
-      (List.filteri (fun i _ -> i < 4) multi)
-  in
-  let seen = Hashtbl.create 64 in
-  let sel = ref [] in
-  List.iter
-    (fun i ->
-      if not (Hashtbl.mem seen i) then begin
-        Hashtbl.add seen i ();
-        sel := i :: !sel
-      end)
-    (multi_members @ List.init (min 25 (Array.length cands)) Fun.id);
-  (List.length multi, Array.of_list (List.rev_map (Array.get cands) !sel))
 
 let counter = Ppat_metrics.Metrics.counter
 let cval name = Ppat_metrics.Metrics.value (counter name)
 
-(* ----- bit-identity: every candidate the sweep evaluates — staged
-   representative or replayed member — digests identically to a
-   one-at-a-time run of the same mapping, under both engines and with
-   serial and parallel simulation ----- *)
+(* ----- bit-identity: every candidate the sweep evaluates on the pool
+   digests identically to a one-at-a-time run of the same mapping, under
+   both engines and with serial and parallel simulation ----- *)
 
 let test_bit_identity () =
   let app = Ppat_apps.Sum_rows_cols.sum_rows ~r:64 ~c:32 () in
   let data = Ppat_apps.App.input_data app in
-  let launch, ap, tpid, _, cands = space app in
-  let multi_groups, cands = mixed_subset launch ap app cands in
-  Alcotest.(check bool) "population has shape duplicates" true
-    (multi_groups > 0);
+  let tpid, _, cands = space app in
+  let cands = take 24 cands in
   let reference = ref None in
   List.iter
     (fun (engine, sim_jobs) ->
@@ -79,7 +41,6 @@ let test_bit_identity () =
           app.prog ~target_pid:tpid ~base:[] cands data
       in
       Alcotest.(check int) "no failures" 0 stats.Runner.sw_failed;
-      Alcotest.(check bool) "replays happened" true (stats.sw_replayed > 0);
       let digests =
         Array.map
           (fun (c : Runner.sweep_candidate) ->
@@ -120,7 +81,7 @@ let prop_random_bit_identity =
     (fun (r, c, pick) ->
       let app = Ppat_apps.Sum_rows_cols.sum_rows ~r ~c () in
       let data = Ppat_apps.App.input_data app in
-      let _, _, tpid, _, cands = space app in
+      let tpid, _, cands = space app in
       let n = Array.length cands in
       let pair = [| cands.(pick mod n); cands.((pick / n) mod n) |] in
       let results, _ =
@@ -137,32 +98,20 @@ let prop_random_bit_identity =
           cand.sc_digest = Some (Runner.result_digest one))
         results pair)
 
-(* ----- the metrics contract: one staging per distinct shape, every
-   other successful candidate a replay ----- *)
+(* ----- counting: every candidate is evaluated once and counted once,
+   and the shape count is the number of distinct shape keys ----- *)
 
-let test_stage_once_metrics () =
+let test_sweep_counts () =
   let app = Ppat_apps.Sum_rows_cols.sum_cols ~r:48 ~c:24 () in
   let data = Ppat_apps.App.input_data app in
-  let _, _, tpid, _, cands = space app in
-  let staged0 = cval "sweep.shapes_staged" in
-  let replayed0 = cval "sweep.candidates_replayed" in
+  let tpid, _, cands = space app in
   let evaluated0 = cval "sweep.candidates_evaluated" in
   let results, stats =
     Runner.sweep_mapped ~params:app.params dev app.prog ~target_pid:tpid
       ~base:[] cands data
   in
-  let d c v0 = int_of_float (cval c -. v0) in
   Alcotest.(check int) "every candidate counted" (Array.length cands)
-    (d "sweep.candidates_evaluated" evaluated0);
-  Alcotest.(check int) "one staging per shape" stats.Runner.sw_shapes
-    (d "sweep.shapes_staged" staged0);
-  Alcotest.(check int) "stats agree" stats.sw_shapes stats.sw_staged;
-  Alcotest.(check int) "the rest replayed" stats.sw_replayed
-    (d "sweep.candidates_replayed" replayed0);
-  Alcotest.(check int) "staged + replayed + failed = population"
-    (Array.length cands)
-    (stats.sw_staged + stats.sw_replayed + stats.sw_failed);
-  (* distinct shape keys seen in the results = shapes staged *)
+    (int_of_float (cval "sweep.candidates_evaluated" -. evaluated0));
   let shapes = Hashtbl.create 16 in
   Array.iter
     (fun (c : Runner.sweep_candidate) ->
@@ -171,15 +120,15 @@ let test_stage_once_metrics () =
       | None -> ())
     results;
   Alcotest.(check int) "distinct shapes" (Hashtbl.length shapes)
-    stats.sw_shapes;
-  (* exactly the representatives are flagged staged *)
-  let flagged =
+    stats.Runner.sw_shapes;
+  let ok =
     Array.fold_left
       (fun acc (c : Runner.sweep_candidate) ->
-        if c.sc_staged then acc + 1 else acc)
+        if Result.is_ok c.sc_result then acc + 1 else acc)
       0 results
   in
-  Alcotest.(check int) "staged flags" stats.sw_staged flagged
+  Alcotest.(check int) "successes + failed = population"
+    (Array.length cands) (ok + stats.sw_failed)
 
 (* ----- calibration: a positive-gain affine fit never reorders the
    analytical/hybrid rankings, so regret is unchanged, while the absolute
@@ -188,7 +137,7 @@ let test_stage_once_metrics () =
 let test_calibration_monotone () =
   let app = Ppat_apps.Sum_rows_cols.sum_rows ~r:48 ~c:24 () in
   let data = Ppat_apps.App.input_data app in
-  let _, _, tpid, col, cands = space app in
+  let tpid, col, cands = space app in
   let cands = take 24 cands in
   let results, _ =
     Runner.sweep_mapped ~params:app.params dev app.prog ~target_pid:tpid
@@ -444,8 +393,8 @@ let tests =
     Alcotest.test_case "sweep bit-identity (engines x jobs)" `Slow
       test_bit_identity;
     QCheck_alcotest.to_alcotest prop_random_bit_identity;
-    Alcotest.test_case "stage-once-per-shape metrics" `Quick
-      test_stage_once_metrics;
+    Alcotest.test_case "candidate, shape and failure counts" `Quick
+      test_sweep_counts;
     Alcotest.test_case "calibration monotone, MARE improves" `Quick
       test_calibration_monotone;
     Alcotest.test_case "group_by" `Quick test_group_by;
