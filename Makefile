@@ -28,8 +28,8 @@ engines: build
 
 # one cheap validated run per engine and one figure on two pool domains,
 # then every unknown app, unknown or misplaced flag, malformed flag value,
-# unknown figure or unwritable output path must fail as a named usage error
-# (exit 2), never as an uncaught exception
+# unknown figure, unwritable output path or malformed PPAT_* variable must
+# fail as a named usage error (exit 2), never as an uncaught exception
 bench-smoke: build
 	dune exec bin/ppat.exe -- run sum_rows --engine compiled > /dev/null
 	dune exec bin/ppat.exe -- run sum_rows --engine reference > /dev/null
@@ -62,7 +62,16 @@ bench-smoke: build
 	    cat /tmp/ppat_usage_err.txt; exit 1; \
 	  fi; \
 	done
-	@echo "bench-smoke: both engines validate sum_rows; fig3 OK on 2 jobs; bad apps, flags, figures and paths exit 2"
+	@for var in PPAT_SHUFFLE=maybe PPAT_ENGINE=turbo PPAT_SIM_JOBS=x \
+	    PPAT_COST_MODEL=psychic; do \
+	  env $$var dune exec bin/ppat.exe -- run sum_rows > /dev/null 2> /tmp/ppat_usage_err.txt; code=$$?; \
+	  if [ $$code -ne 2 ] || grep -q "Fatal error" /tmp/ppat_usage_err.txt \
+	      || ! grep -q "^ppat: $${var%%=*}" /tmp/ppat_usage_err.txt; then \
+	    echo "bench-smoke: '$$var ppat run sum_rows' exited $$code, want a usage error (2) naming the variable:"; \
+	    cat /tmp/ppat_usage_err.txt; exit 1; \
+	  fi; \
+	done
+	@echo "bench-smoke: both engines validate sum_rows; fig3 OK on 2 jobs; bad apps, flags, figures, paths and PPAT_* values exit 2"
 
 # tier-1 under both cost-model defaults (mapping-specific assertions pin
 # Soft explicitly, everything else must hold under any model), plus a

@@ -66,15 +66,15 @@ let cmd_list () =
         (if depth = 1 then "" else "s"))
     registry
 
-let cmd_run name strat engine model sim_jobs =
+let cmd_run name strat engine model sim_jobs opts =
   let app = find_app name in
   let data = A.App.input_data app in
   Format.printf "running %s (CPU oracle first)...@." app.A.App.name;
   let cpu = Ppat_harness.Runner.run_cpu ~params:app.params app.prog data in
   Format.printf "CPU model: %.4g s@." cpu.cpu_seconds;
   let r =
-    Ppat_harness.Runner.run_gpu ~engine ~sim_jobs ~params:app.params ~model
-      dev app.prog strat data
+    Ppat_harness.Runner.run_gpu ~engine ~sim_jobs ~opts ~params:app.params
+      ~model dev app.prog strat data
   in
   Format.printf "%s: %.4g s over %d kernel launches (%s cost model)@."
     (Ppat_core.Strategy.name strat)
@@ -99,13 +99,13 @@ let cmd_run name strat engine model sim_jobs =
 (* profile and report share the attributed run: site attribution on, the
    metrics registry reset at the start so the snapshot covers exactly
    this run, and span recording on for the Chrome-trace timeline *)
-let attributed_run name strat engine model sim_jobs =
+let attributed_run name strat engine model sim_jobs opts =
   let app = find_app name in
   let data = A.App.input_data app in
   Ppat_profile.Metrics.reset ();
   Ppat_profile.Metrics.set_span_recording true;
   let r =
-    Ppat_harness.Runner.run_gpu ~engine ~sim_jobs ~attr:true
+    Ppat_harness.Runner.run_gpu ~engine ~sim_jobs ~opts ~attr:true
       ~params:app.params ~model dev app.prog strat data
   in
   Ppat_profile.Metrics.set_span_recording false;
@@ -118,8 +118,8 @@ let attributed_run name strat engine model sim_jobs =
   in
   (r, run)
 
-let cmd_profile name strat engine model sim_jobs json chrome =
-  let r, run = attributed_run name strat engine model sim_jobs in
+let cmd_profile name strat engine model sim_jobs opts json chrome =
+  let r, run = attributed_run name strat engine model sim_jobs opts in
   Format.printf "%a@." Ppat_profile.Report.pp_run run;
   List.iter (fun n -> Format.printf "note: %s@." n) r.notes;
   (match json with
@@ -138,8 +138,8 @@ let cmd_profile name strat engine model sim_jobs json chrome =
       f run;
     Format.printf "wrote Chrome trace to %s (load in about://tracing)@." f
 
-let cmd_report name strat engine model sim_jobs json =
-  let _, run = attributed_run name strat engine model sim_jobs in
+let cmd_report name strat engine model sim_jobs opts json =
+  let _, run = attributed_run name strat engine model sim_jobs opts in
   Format.printf "%a@." Ppat_profile.Report.pp_hotspots run;
   Format.printf "run metrics:@.%a@." Ppat_profile.Metrics.pp_snapshot ();
   match json with
@@ -168,28 +168,24 @@ let iter_launches (app : A.App.t) f =
   in
   List.iter step app.prog.Ppat_ir.Pat.steps
 
-let decide ?trace ?model (app : A.App.t) n =
+let decide ?trace ?model ?(strat = Ppat_core.Strategy.Auto)
+    (opts : Ppat_codegen.Lower.options) (app : A.App.t) n =
   let c =
     Ppat_core.Collect.collect
       ~params:(Ppat_harness.Runner.analysis_params app.prog app.params)
       ?bind:n.Ppat_ir.Pat.bind dev app.prog n.Ppat_ir.Pat.pat
   in
-  (c, Ppat_core.Strategy.decide ?trace ?model dev c Ppat_core.Strategy.Auto)
+  (c, Ppat_core.Strategy.decide ?trace ?model ~shuffle:opts.shuffle dev c strat)
 
-let cmd_trace_search name strat model json =
+let cmd_trace_search name strat model opts json =
   let app = find_app name in
   let traces = ref [] in
   iter_launches app (fun n ->
-      let c =
-        Ppat_core.Collect.collect
-          ~params:(Ppat_harness.Runner.analysis_params app.prog app.params)
-          ?bind:n.Ppat_ir.Pat.bind dev app.prog n.Ppat_ir.Pat.pat
-      in
       let candidates = ref [] in
-      let decision =
-        Ppat_core.Strategy.decide
+      let _, decision =
+        decide
           ~trace:(fun t -> candidates := t :: !candidates)
-          ~model dev c strat
+          ~model ~strat opts app n
       in
       let st =
         {
@@ -222,7 +218,7 @@ let target_space (app : A.App.t) =
   end;
   (ts.ts_base, t.pid, t.label, ts.ts_collect, ts.ts_candidates, ts.ts_duplicates)
 
-let cmd_modelcmp name engine top json =
+let cmd_modelcmp name engine (opts : Ppat_codegen.Lower.options) top json =
   let app = find_app name in
   let data = A.App.input_data app in
   let base, tpid, tlabel, tc, cands, dupes = target_space app in
@@ -232,7 +228,9 @@ let cmd_modelcmp name engine top json =
   let rankings =
     List.map
       (fun model ->
-        let evals, order = Cost_model.rank model dev tc cands in
+        let evals, order =
+          Cost_model.rank ~shuffle:opts.shuffle model dev tc cands
+        in
         (model, evals, order))
       Cost_model.all
   in
@@ -257,8 +255,8 @@ let cmd_modelcmp name engine top json =
         if pid = tpid then cands.(i) else List.assoc pid base
       in
       match
-        Ppat_harness.Runner.run_gpu_mapped ~engine ~params:app.params dev
-          app.prog mapping_of data
+        Ppat_harness.Runner.run_gpu_mapped ~engine ~opts ~params:app.params
+          dev app.prog mapping_of data
       with
       | r ->
         (* ground truth: simulated seconds of the target pattern's own
@@ -331,13 +329,13 @@ let cmd_modelcmp name engine top json =
   (* headline number: the static predictor's cycles against simulated
      seconds, independent of any ranking tie-breaks *)
   let pred_rho =
+    let _, a_evals, _ =
+      List.find (fun (m, _, _) -> m = Cost_model.Analytical) rankings
+    in
     let cycles =
       List.map
         (fun (i, _) ->
-          match
-            (Cost_model.evaluate Cost_model.Analytical dev tc cands.(i))
-              .Cost_model.predicted
-          with
+          match a_evals.(i).Cost_model.predicted with
           | Some p -> p.Ppat_core.Predict.cycles
           | None -> nan)
         simulated
@@ -402,7 +400,8 @@ let cmd_modelcmp name engine top json =
 (* ----- sweep: evaluation of the target pattern's mapping space on the
    pool, plus the predictor-vs-simulator calibration loop ----- *)
 
-let cmd_sweep name engine sim_jobs jobs budget json =
+let cmd_sweep name engine sim_jobs (opts : Ppat_codegen.Lower.options) jobs
+    budget json =
   let app = find_app name in
   let data = A.App.input_data app in
   let base, tpid, tlabel, tc, cands, dupes = target_space app in
@@ -411,7 +410,9 @@ let cmd_sweep name engine sim_jobs jobs budget json =
      calibration fit (a positive-gain affine map must not change ranks —
      the gate below holds the loop to that) *)
   let rank_of ?calib model =
-    let evals, order = Cost_model.rank ?calib model dev tc cands in
+    let evals, order =
+      Cost_model.rank ?calib ~shuffle:opts.shuffle model dev tc cands
+    in
     let pos = Array.make n 0 in
     Array.iteri (fun rank i -> pos.(i) <- rank) order;
     (evals, order, pos)
@@ -436,7 +437,7 @@ let cmd_sweep name engine sim_jobs jobs budget json =
     name tlabel n dupes (Array.length sel) budget;
   (* evaluate the selection on this process's pool *)
   let results, counts =
-    Ppat_harness.Runner.sweep_mapped ~engine ~sim_jobs ~jobs
+    Ppat_harness.Runner.sweep_mapped ~engine ~sim_jobs ~jobs ~opts
       ~params:app.params dev app.prog ~target_pid:tpid ~base
       (Array.map (fun i -> cands.(i)) sel)
       data
@@ -633,18 +634,14 @@ let cmd_sweep name engine sim_jobs jobs budget json =
     to_file f j;
     Format.printf "wrote sweep report to %s@." f
 
-let cmd_cuda name =
+let cmd_cuda name opts =
   let app = find_app name in
   iter_launches app (fun n ->
-      let _, r = decide app n in
+      let _, r = decide opts app n in
       let params =
         Ppat_harness.Runner.analysis_params app.prog app.params
       in
-      match
-        Ppat_codegen.Lower.lower dev
-          ~opts:(Ppat_codegen.Lower.effective_options ())
-          ~params app.prog n r.mapping
-      with
+      match Ppat_codegen.Lower.lower dev ~opts ~params app.prog n r.mapping with
       | lowered ->
         List.iter
           (fun (l : Ppat_kernel.Kir.launch) ->
@@ -656,10 +653,11 @@ let cmd_cuda name =
 
 let cmd_explain name =
   let app = find_app name in
+  let opts = Ppat_codegen.Lower.effective_options () in
   Format.printf "%a@." Ppat_ir.Pat.pp_prog app.prog;
   iter_launches app (fun n ->
       let traced = ref [] in
-      let c, d = decide ~trace:(fun t -> traced := t :: !traced) app n in
+      let c, d = decide ~trace:(fun t -> traced := t :: !traced) opts app n in
       Format.printf "@.%a@.%a@." Ppat_core.Collect.pp c
         (Ppat_profile.Report.pp_search ~limit:6)
         {
@@ -673,12 +671,14 @@ let cmd_explain name =
    selected apps; exit 1 if anything is flagged *)
 let cmd_racecheck rest =
   let names = ref [] and all = ref false in
+  let opts = ref (Ppat_codegen.Lower.effective_options ()) in
   List.iter
     (function
       | "--all" -> all := true
-      | "--shuffle" -> Ppat_gpu.Tuning.shuffle_enabled := true
+      | "--shuffle" -> opts := { !opts with shuffle = true }
       | a -> names := a :: !names)
     rest;
+  let opts = !opts in
   let names =
     if !all || !names = [] then List.map fst registry else List.rev !names
   in
@@ -693,11 +693,9 @@ let cmd_racecheck rest =
       in
       Format.printf "%s:@." name;
       iter_launches app (fun n ->
-          let _, r = decide app n in
+          let _, r = decide opts app n in
           match
-            Ppat_codegen.Lower.lower dev
-              ~opts:(Ppat_codegen.Lower.effective_options ())
-              ~params app.prog n r.mapping
+            Ppat_codegen.Lower.lower dev ~opts ~params app.prog n r.mapping
           with
           | lowered ->
             List.iter
@@ -843,6 +841,7 @@ type flags = {
   f_sim_jobs : int;
   f_jobs : int;
   f_budget : int;
+  f_opts : Ppat_codegen.Lower.options;
 }
 
 (* the flags of [cmd], in any order; [takes] lists the ones it reads
@@ -858,6 +857,7 @@ let parse_flags cmd ~takes rest =
   let sim_jobs = ref (Ppat_kernel.Interp.default_jobs ()) in
   let jobs = ref (Ppat_parallel.default_jobs ()) in
   let budget = ref 0 in
+  let opts = ref (Ppat_codegen.Lower.effective_options ()) in
   let rec go = function
     | [] -> ()
     | flag :: _ when not (List.mem flag takes) ->
@@ -871,9 +871,7 @@ let parse_flags cmd ~takes rest =
       engine := or_usage (Ppat_kernel.Interp.engine_of_string ~name:"--engine" e);
       go rest
     | "--shuffle" :: rest ->
-      (* process-wide: the lowering's effective options, the predictor's
-         pricing and the canonical cache keys all read this knob *)
-      Ppat_gpu.Tuning.shuffle_enabled := true;
+      opts := { !opts with shuffle = true };
       go rest
     | "--cost-model" :: m :: rest ->
       model :=
@@ -911,41 +909,43 @@ let parse_flags cmd ~takes rest =
     f_sim_jobs = !sim_jobs;
     f_jobs = !jobs;
     f_budget = !budget;
+    f_opts = !opts;
   }
 
 (* what every simulating command reads *)
 let sim_flags = [ "-s"; "--engine"; "--cost-model"; "--sim-jobs"; "--shuffle" ]
 
-let () =
+let main () =
   match Array.to_list Sys.argv with
   | _ :: "list" :: _ -> cmd_list ()
   | _ :: "run" :: name :: rest ->
     let f = parse_flags "run" ~takes:sim_flags rest in
-    cmd_run name f.f_strat f.f_engine f.f_model f.f_sim_jobs
+    cmd_run name f.f_strat f.f_engine f.f_model f.f_sim_jobs f.f_opts
   | _ :: "profile" :: name :: rest ->
     let f =
       parse_flags "profile" ~takes:(sim_flags @ [ "--json"; "--chrome-trace" ])
         rest
     in
-    cmd_profile name f.f_strat f.f_engine f.f_model f.f_sim_jobs f.f_json
-      f.f_chrome
+    cmd_profile name f.f_strat f.f_engine f.f_model f.f_sim_jobs f.f_opts
+      f.f_json f.f_chrome
   | _ :: "report" :: name :: rest ->
     let f = parse_flags "report" ~takes:(sim_flags @ [ "--json" ]) rest in
-    cmd_report name f.f_strat f.f_engine f.f_model f.f_sim_jobs f.f_json
+    cmd_report name f.f_strat f.f_engine f.f_model f.f_sim_jobs f.f_opts
+      f.f_json
   | _ :: "trace-search" :: name :: rest ->
     let f =
       parse_flags "trace-search"
         ~takes:[ "-s"; "--cost-model"; "--json"; "--shuffle" ]
         rest
     in
-    cmd_trace_search name f.f_strat f.f_model f.f_json
+    cmd_trace_search name f.f_strat f.f_model f.f_opts f.f_json
   | _ :: "modelcmp" :: name :: rest ->
     let f =
       parse_flags "modelcmp"
         ~takes:[ "--engine"; "--top"; "--json"; "--shuffle" ]
         rest
     in
-    cmd_modelcmp name f.f_engine f.f_top f.f_json
+    cmd_modelcmp name f.f_engine f.f_opts f.f_top f.f_json
   | _ :: "sweep" :: name :: rest ->
     let f =
       parse_flags "sweep"
@@ -953,12 +953,12 @@ let () =
           [ "--engine"; "--budget"; "--jobs"; "--sim-jobs"; "--json"; "--shuffle" ]
         rest
     in
-    cmd_sweep name f.f_engine f.f_sim_jobs f.f_jobs f.f_budget f.f_json
+    cmd_sweep name f.f_engine f.f_sim_jobs f.f_opts f.f_jobs f.f_budget
+      f.f_json
   | _ :: "serve" :: rest -> cmd_serve rest
   | _ :: "racecheck" :: rest -> cmd_racecheck rest
   | _ :: "cuda" :: name :: rest ->
-    ignore (parse_flags "cuda" ~takes:[ "--shuffle" ] rest);
-    cmd_cuda name
+    cmd_cuda name (parse_flags "cuda" ~takes:[ "--shuffle" ] rest).f_opts
   | [ _; "explain"; name ] -> cmd_explain name
   | _ :: "explain" :: _ :: arg :: _ ->
     usage_error (Printf.sprintf "explain: unexpected argument %S" arg)
@@ -976,3 +976,8 @@ let () =
   | _ ->
     usage ();
     exit 1
+
+(* a malformed PPAT_* variable, read wherever a command first needs it,
+   is a usage error naming the variable *)
+let () =
+  try main () with Ppat_gpu.Tuning.Bad_env msg -> usage_error msg

@@ -21,9 +21,11 @@ type sweep_point = {
 }
 
 (* run one app under a strategy against a precomputed oracle *)
-let strat_cell ?opts dev (app : App.t) oracle strat =
+let strat_cell ?opts ?model dev (app : App.t) oracle strat =
   let data = App.input_data app in
-  let r = Runner.run_gpu ?opts ~params:app.params dev app.prog strat data in
+  let r =
+    Runner.run_gpu ?opts ?model ~params:app.params dev app.prog strat data
+  in
   let ok =
     Runner.check ~eps:(Float.max app.eps 1e-4) ~unordered:app.unordered
       app.prog ~expected:oracle ~actual:r.data
@@ -387,6 +389,25 @@ let fig8_app ?(rows = 1024) ?(cols = 1024) () =
       ])
     prog
 
+(* shuffle synthesis, a Kepler extension of Figure 9's trees: msmCluster's
+   arg-min reductions fit one warp on dimension x. The mapping is pinned
+   to the soft model's pick, so only the lowering differs between cells *)
+let shuffle_row ?(frames = 1024) dev =
+  let app = Msm_cluster.app ~frames ~centers:32 ~dims:32 () in
+  let oracle = oracle_of app in
+  let cell variant shuffle =
+    let opts = { Lower.default_options with shuffle } in
+    let c =
+      strat_cell ~opts ~model:Ppat_core.Cost_model.Soft dev app oracle
+        Strategy.Auto
+    in
+    { c with variant }
+  in
+  {
+    rlabel = Printf.sprintf "msmCluster %d arg-min" frames;
+    cells = [ cell "smem-tree" false; cell "shuffle" true ];
+  }
+
 let ablation dev =
   let opt_cell name opts strat (app : App.t) oracle =
     let c = strat_cell ~opts dev app oracle strat in
@@ -477,7 +498,8 @@ let ablation dev =
   in
   {
     title =
-      "Ablations: each mapping-guided optimisation toggled in isolation        (normalised to the first variant)";
+      "Ablations: each mapping-guided optimisation toggled in isolation \
+       (normalised to the first variant)";
     baseline = "prefetch";
     rows =
       [
@@ -489,10 +511,12 @@ let ablation dev =
             | _ -> None);
         warp_sync_row;
         filter_row;
+        shuffle_row dev;
       ];
     notes =
       [
-        "warp-sync and filter rows are normalised to their own first          variant";
+        "warp-sync, filter and shuffle rows are normalised to their own \
+         first variant";
       ];
   }
 

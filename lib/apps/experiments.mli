@@ -60,8 +60,14 @@ val fig8_app : ?rows:int -> ?cols:int -> unit -> App.t
 val ablation : Ppat_gpu.Device.t -> table
 (** Each mapping-guided optimisation toggled in isolation: shared-memory
     prefetch (Section V-B) on the paper's Figure 8 shape and on Gaussian,
-    warp-synchronous reduction tails, and atomic-append versus
-    scan-compacted Filter. *)
+    warp-synchronous reduction tails, atomic-append versus
+    scan-compacted Filter, and shuffle synthesis ({!shuffle_row}). *)
+
+val shuffle_row : ?frames:int -> Ppat_gpu.Device.t -> row
+(** The ablation's shuffle-synthesis row: msmCluster ([frames] x 32
+    centres x 32 dimensions, default 1024 frames) under the soft model's
+    mapping, lowered with shared-memory reduction trees (["smem-tree"])
+    and with warp shuffles (["shuffle"]). *)
 
 val print_table : Format.formatter -> table -> unit
 val print_sweep : Format.formatter -> sweep_point list -> unit

@@ -13,7 +13,8 @@ type result = { seconds : float; data : Host.data }
 (* ----- fixed-geometry manuals: the app's own program under hand-picked
    mappings ----- *)
 
-let fixed ?opts dev pick (app : App.t) data =
+let fixed ?(opts = Ppat_codegen.Lower.effective_options ()) dev pick
+    (app : App.t) data =
   let prog = app.prog in
   let ap = Runner.analysis_params prog app.params in
   (* per top-level pattern: hand mapping if given, else the auto decision *)
@@ -27,9 +28,8 @@ let fixed ?opts dev pick (app : App.t) data =
           | Some m -> Strategy.Fixed m
           | None -> Strategy.Auto
         in
-        decisions :=
-          (n.pat.Pat.pid, (Strategy.decide dev c strat).Strategy.mapping)
-          :: !decisions
+        let d = Strategy.decide ~shuffle:opts.shuffle dev c strat in
+        decisions := (n.pat.Pat.pid, d.Strategy.mapping) :: !decisions
       end
     | Pat.Host_loop { body; _ } | Pat.While_flag { body; _ } ->
       List.iter step body
@@ -37,7 +37,7 @@ let fixed ?opts dev pick (app : App.t) data =
   in
   List.iter step prog.steps;
   let r =
-    Runner.run_gpu_mapped ?opts ~params:app.params dev prog
+    Runner.run_gpu_mapped ~opts ~params:app.params dev prog
       (fun pid -> List.assoc pid !decisions)
       data
   in

@@ -21,7 +21,9 @@ let default_options =
   }
 
 let effective_options () =
-  { default_options with shuffle = !Ppat_gpu.Tuning.shuffle_enabled }
+  match Ppat_gpu.Tuning.(env "PPAT_SHUFFLE" parse_bool) with
+  | Some shuffle -> { default_options with shuffle }
+  | None -> default_options
 
 type temp = { tname : string; telem : Ty.scalar; telems : int }
 

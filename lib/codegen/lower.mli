@@ -59,10 +59,10 @@ val default_options : options
     experiments. *)
 
 val effective_options : unit -> options
-(** [default_options] specialised by the process-wide tuning knobs
-    ({!Ppat_gpu.Tuning}): currently just [shuffle], defaulting from
-    [PPAT_SHUFFLE] / the CLI's [--shuffle]. Read at call time so a flag
-    flipped before staging takes effect. *)
+(** [default_options] with [shuffle] from [PPAT_SHUFFLE] when it is set
+    (its only reader; read at call time, a malformed value raises
+    {!Ppat_gpu.Tuning.Bad_env}). A run carries its [options] from here
+    on: search pricing and cache keys read the run's own [shuffle]. *)
 
 (** A device scratch buffer the harness must allocate (zero-filled) before
     running the launches. *)

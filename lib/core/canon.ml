@@ -311,12 +311,12 @@ and pattern st env (p : Pat.pattern) =
      add st ")");
   add st "};"
 
-let nest_repr ?(params = []) ?bind dev prog (p : Pat.pattern) =
+let nest_repr ?(params = []) ?bind ?(shuffle = false) dev prog p =
   let st = make prog (Host.params_of prog params) in
   add st ("D:" ^ dev.Ppat_gpu.Device.dname ^ ";");
-  (* lowering-behaviour knobs are part of the key: a decision memoised
-     with shuffle synthesis on must not be served to a run with it off *)
-  if !Ppat_gpu.Tuning.shuffle_enabled then add st "O:shfl;";
+  (* the run's lowering bit is part of the key: a decision priced with
+     shuffle synthesis on must not be served to a run with it off *)
+  if shuffle then add st "O:shfl;";
   (match bind with
    | Some b when is_gbuf st b -> add st ("B:" ^ gbuf_token st b ^ ";")
    | Some b -> add st ("B:?" ^ b ^ ";")
@@ -350,7 +350,7 @@ let prog_repr ?(params = []) (prog : Pat.prog) =
 
 let digest s = Digest.to_hex (Digest.string s)
 
-let nest_key ?params ?bind dev prog p =
-  digest (nest_repr ?params ?bind dev prog p)
+let nest_key ?params ?bind ?shuffle dev prog p =
+  digest (nest_repr ?params ?bind ?shuffle dev prog p)
 
 let prog_key ?params prog = digest (prog_repr ?params prog)

@@ -25,20 +25,23 @@
 val nest_repr :
   ?params:(string * int) list ->
   ?bind:string ->
+  ?shuffle:bool ->
   Ppat_gpu.Device.t ->
   Ppat_ir.Pat.prog ->
   Ppat_ir.Pat.pattern ->
   string
 (** Canonical string for one top-level nest as the analysis sees it:
     the nest structure, the shapes of every buffer it touches, the
-    resolved parameters it depends on, the bound output buffer, and the
-    device name. [params] should be the same environment handed to
-    {!Collect.collect} (defaults already merged, host-loop variables
-    bound). Mainly exposed for tests; use {!nest_key} as a cache key. *)
+    resolved parameters it depends on, the bound output buffer, the
+    device name and the run's [shuffle] bit (default [false]), which the
+    analytical models price. [params] should be the environment handed to
+    {!Collect.collect} (defaults merged, host-loop variables bound).
+    Mainly exposed for tests; use {!nest_key} as a cache key. *)
 
 val nest_key :
   ?params:(string * int) list ->
   ?bind:string ->
+  ?shuffle:bool ->
   Ppat_gpu.Device.t ->
   Ppat_ir.Pat.prog ->
   Ppat_ir.Pat.pattern ->

@@ -52,7 +52,7 @@ type calibration = { gain : float; offset : float }
 let no_calibration = { gain = 1.; offset = 0. }
 let calibrate calib cycles = (calib.gain *. cycles) +. calib.offset
 
-let evaluate ?(calib = no_calibration) kind dev (c : Collect.t) m =
+let evaluate ?(calib = no_calibration) ?shuffle kind dev (c : Collect.t) m =
   let score = Score.score dev c.softs m in
   let dop = float_of_int (Mapping.dop ~sizes:c.level_sizes m) in
   let prox = -.float_of_int (block_proximity m) in
@@ -60,14 +60,14 @@ let evaluate ?(calib = no_calibration) kind dev (c : Collect.t) m =
   | Soft ->
     { soft_score = score; predicted = None; key = [| score; dop; prox |] }
   | Analytical ->
-    let p = Predict.predict dev c m in
+    let p = Predict.predict ?shuffle dev c m in
     {
       soft_score = score;
       predicted = Some p;
       key = [| -.calibrate calib p.Predict.cycles; score; dop; prox |];
     }
   | Hybrid ->
-    let p = Predict.predict dev c m in
+    let p = Predict.predict ?shuffle dev c m in
     {
       soft_score = score;
       predicted = Some p;
@@ -84,8 +84,8 @@ let better a b =
   in
   go 0
 
-let rank ?calib kind dev c cands =
-  let evals = Array.map (evaluate ?calib kind dev c) cands in
+let rank ?calib ?shuffle kind dev c cands =
+  let evals = Array.map (evaluate ?calib ?shuffle kind dev c) cands in
   let order = Array.init (Array.length cands) Fun.id in
   (* polymorphic compare on two keys is descending-lexicographic here *)
   Array.stable_sort (fun i j -> compare evals.(j).key evals.(i).key) order;

@@ -61,14 +61,16 @@ val calibrate : calibration -> float -> float
 (** [calibrate c cycles = c.gain *. cycles +. c.offset]. *)
 
 val evaluate :
-  ?calib:calibration -> kind -> Ppat_gpu.Device.t -> Collect.t -> Mapping.t -> eval
+  ?calib:calibration -> ?shuffle:bool -> kind -> Ppat_gpu.Device.t ->
+  Collect.t -> Mapping.t -> eval
 (** Evaluate one candidate. For [Soft] the key is
     [(score, dop, -block-size-proximity)] — comparing keys reproduces
     the historical comparison exactly, including its float-equality tie
     semantics. [Analytical] keys lead with [-predicted cycles]; [Hybrid]
     keys lead with the score and break ties with [-predicted cycles].
     [calib] (default {!no_calibration}) rescales the predicted cycles
-    entering the key; [Soft] ignores it. *)
+    entering the key; [Soft] ignores it, as it does [shuffle] (for
+    {!Predict.predict}). *)
 
 val better : eval -> eval -> bool
 (** [better challenger incumbent]: strict descending-lexicographic
@@ -77,6 +79,7 @@ val better : eval -> eval -> bool
 
 val rank :
   ?calib:calibration ->
+  ?shuffle:bool ->
   kind ->
   Ppat_gpu.Device.t ->
   Collect.t ->

@@ -1,16 +1,17 @@
 let cdiv a b = (a + b - 1) / b
 
-let control (dev : Ppat_gpu.Device.t) ~sizes (m : Mapping.t) =
+let control (dev : Ppat_gpu.Device.t) ~sizes ?(splittable = fun _ -> true)
+    (m : Mapping.t) =
   let m = Array.copy m in
   let current = Mapping.dop ~sizes m in
   let min_dop = Ppat_gpu.Device.min_dop dev in
   let max_dop = Ppat_gpu.Device.max_dop dev in
   if current < min_dop then begin
-    (* pick the Span(all) level with the most recoverable parallelism *)
+    (* the splittable Span(all) level with the most recoverable parallelism *)
     let best = ref None in
     Array.iteri
       (fun l (d : Mapping.decision) ->
-        if d.span = Mapping.Span_all then begin
+        if d.span = Mapping.Span_all && splittable l then begin
           let gain = cdiv sizes.(l) (max 1 d.bsize) in
           match !best with
           | Some (_, g) when g >= gain -> ()

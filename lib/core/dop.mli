@@ -8,7 +8,9 @@
     the "dynamic decision" half of the paper's static/dynamic split. *)
 
 val control :
-  Ppat_gpu.Device.t -> sizes:int array -> Mapping.t -> Mapping.t
+  Ppat_gpu.Device.t -> sizes:int array -> ?splittable:(int -> bool) ->
+  Mapping.t -> Mapping.t
 (** Returns a copy with at most one span replaced. The split count is
     capped so every section still covers at least one block of work, and
-    the span factor so every thread still has at least one point. *)
+    the span factor so every thread still has at least one point. Only
+    levels where [splittable] holds (default: all) may become Split(k). *)

@@ -121,7 +121,7 @@ let insts_per_global = 4.
 let insts_per_local = 2.
 let insts_per_index = 4.
 
-let predict ?(shuffle = !Ppat_gpu.Tuning.shuffle_enabled) (dev : Device.t)
+let predict ?(shuffle = false) (dev : Device.t)
     (c : Collect.t) (m : Mapping.t) =
   let sizes = c.level_sizes in
   let geometry = geometry_of ~sizes m in

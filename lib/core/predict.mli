@@ -56,10 +56,10 @@ val predict :
     sequential spans. Never raises, including on hard-infeasible
     candidates (the search trace evaluates those too).
 
-    [shuffle] (default {!Ppat_gpu.Tuning.shuffle_enabled}) prices
-    warp-fitting x-dimension tree reductions as register shuffles — no
-    barriers or shared-memory traffic — matching what the lowering emits
-    under the same flag. *)
+    [shuffle] is the run's lowering bit (default [false], as in
+    [Lower.default_options]): it prices warp-fitting x-dimension tree
+    reductions as register shuffles — no barriers or shared-memory
+    traffic — matching what the lowering emits for that run. *)
 
 val transactions_per_warp :
   Ppat_gpu.Device.t -> Collect.t -> Mapping.t -> Ppat_ir.Access.access ->

@@ -120,8 +120,9 @@ let enumerate ?(model = Cost_model.default ()) dev (c : Collect.t) =
   iter_candidates dev c (fun m -> out := (Array.copy m, eval m) :: !out);
   List.rev !out
 
-let search ?trace ?(model = Cost_model.default ()) dev (c : Collect.t) =
-  let eval = Cost_model.evaluate model dev c in
+let search ?trace ?(model = Cost_model.default ()) ?shuffle dev
+    (c : Collect.t) =
+  let eval = Cost_model.evaluate ?shuffle model dev c in
   let best = ref None in
   let count = ref 0 in
   let labels = [ ("model", Cost_model.name model) ] in
@@ -147,7 +148,8 @@ let search ?trace ?(model = Cost_model.default ()) dev (c : Collect.t) =
   match !best with
   | None -> failwith "search: no hard-feasible mapping"
   | Some (raw, e) ->
-    let mapping = Dop.control dev ~sizes:c.level_sizes raw in
+    let splittable l = not (Ppat_ir.Levels.has_dynamic_size c.levels l) in
+    let mapping = Dop.control dev ~sizes:c.level_sizes ~splittable raw in
     {
       mapping;
       raw_mapping = raw;
@@ -157,5 +159,5 @@ let search ?trace ?(model = Cost_model.default ()) dev (c : Collect.t) =
       model;
       (* re-predict the shipped mapping (DOP control may have changed it)
          so profiles can report predicted-vs-simulated per launch *)
-      predicted = Some (Predict.predict dev c mapping);
+      predicted = Some (Predict.predict ?shuffle dev c mapping);
     }

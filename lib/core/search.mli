@@ -43,6 +43,7 @@ type traced = {
 val search :
   ?trace:(traced -> unit) ->
   ?model:Cost_model.kind ->
+  ?shuffle:bool ->
   Ppat_gpu.Device.t ->
   Collect.t ->
   result
@@ -51,7 +52,8 @@ val search :
     its score, DOP, violation list, soft-constraint breakdown and (under
     analytical models) predicted timing. Tracing never changes the search
     outcome. [model] defaults to {!Cost_model.default} (the
-    [PPAT_COST_MODEL] environment variable, else [Soft]). *)
+    [PPAT_COST_MODEL] environment variable, else [Soft]). [shuffle]
+    goes to {!Predict.predict}. *)
 
 val enumerate :
   ?model:Cost_model.kind ->

@@ -23,19 +23,21 @@ let strategy_tag (s : Strategy.t) =
   | Strategy.Fixed m -> "fixed:" ^ Mapping.to_string m
   | s -> Strategy.name s
 
-let key ?model ?params ?bind dev prog pat strategy =
-  let model = Option.value model ~default:(Cost_model.default ()) in
-  Canon.nest_key ?params ?bind dev prog pat
+let key ?model ?shuffle ?params ?bind dev prog pat strategy =
+  let model =
+    match model with Some m -> m | None -> Cost_model.default ()
+  in
+  Canon.nest_key ?params ?bind ?shuffle dev prog pat
   ^ "|" ^ strategy_tag strategy
   ^ "|" ^ Cost_model.name model
 
-let decide (t : t) ?model ?params ?bind dev prog pat strategy =
-  let k = key ?model ?params ?bind dev prog pat strategy in
+let decide (t : t) ?model ?shuffle ?params ?bind dev prog pat strategy =
+  let k = key ?model ?shuffle ?params ?bind dev prog pat strategy in
   match Ppat_metrics.Lru.find t k with
   | Some d -> copy_decision d
   | None ->
     let c = Collect.collect ?params ?bind dev prog pat in
-    let d = Strategy.decide ?model dev c strategy in
+    let d = Strategy.decide ?model ?shuffle dev c strategy in
     Ppat_metrics.Lru.put t k (copy_decision d);
     d
 

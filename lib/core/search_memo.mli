@@ -1,10 +1,10 @@
 (** Memoised mapping search.
 
     An LRU over {!Strategy.decide} results keyed by {!Canon.nest_key}
-    plus strategy and cost-model tags: two alpha-equivalent nests on the
-    same device with the same resolved parameters share one search. The
-    hit/miss/eviction counters surface in {!Ppat_metrics.Metrics} under
-    the cache label ["search_memo"]. *)
+    (the run's [shuffle] bit included) plus strategy and cost-model tags:
+    two alpha-equivalent nests on the same device with the same resolved
+    parameters share one search. The hit/miss/eviction counters surface
+    in {!Ppat_metrics.Metrics} under the cache label ["search_memo"]. *)
 
 type t
 
@@ -13,6 +13,7 @@ val create : ?capacity:int -> unit -> t
 
 val key :
   ?model:Cost_model.kind ->
+  ?shuffle:bool ->
   ?params:(string * int) list ->
   ?bind:string ->
   Ppat_gpu.Device.t ->
@@ -25,6 +26,7 @@ val key :
 val decide :
   t ->
   ?model:Cost_model.kind ->
+  ?shuffle:bool ->
   ?params:(string * int) list ->
   ?bind:string ->
   Ppat_gpu.Device.t ->

@@ -71,11 +71,11 @@ let preset (c : Collect.t) which =
 
 (* a preset visits exactly one candidate; report it through the same trace
    channel the auto search uses, so [trace-search] works for any strategy *)
-let trace_one trace model dev (c : Collect.t) m =
+let trace_one trace model ~shuffle dev (c : Collect.t) m =
   match trace with
   | None -> ()
   | Some g ->
-    let e = Cost_model.evaluate model dev c m in
+    let e = Cost_model.evaluate ~shuffle model dev c m in
     g
       {
         Search.t_mapping = Array.copy m;
@@ -89,22 +89,23 @@ let trace_one trace model dev (c : Collect.t) m =
 
 (* a fixed mapping was not chosen by any model, but its prediction is
    still recorded so profiles can report predicted-vs-simulated time *)
-let fixed_decision trace model dev (c : Collect.t) m via =
-  trace_one trace model dev c m;
+let fixed_decision trace model ~shuffle dev (c : Collect.t) m via =
+  trace_one trace model ~shuffle dev c m;
   {
     mapping = m;
     raw_mapping = m;
     score = Score.score dev c.softs m;
     via;
     model;
-    predicted = Some (Predict.predict dev c m);
+    predicted = Some (Predict.predict ~shuffle dev c m);
   }
 
-let decide ?trace ?(model = Cost_model.default ()) dev (c : Collect.t) strat
-    =
+let decide ?trace ?(model = Cost_model.default ()) ?(shuffle = false) dev
+    (c : Collect.t) strat =
+  let fixed_decision = fixed_decision trace model ~shuffle dev c in
   match strat with
   | Auto ->
-    let r = Search.search ?trace ~model dev c in
+    let r = Search.search ?trace ~model ~shuffle dev c in
     {
       mapping = r.mapping;
       raw_mapping = r.raw_mapping;
@@ -120,11 +121,8 @@ let decide ?trace ?(model = Cost_model.default ()) dev (c : Collect.t) strat
       model;
       predicted = r.predicted;
     }
-  | One_d -> fixed_decision trace model dev c (preset c `One_d) "1D preset"
+  | One_d -> fixed_decision (preset c `One_d) "1D preset"
   | Thread_block_thread ->
-    fixed_decision trace model dev c (preset c `Tbt)
-      "thread-block/thread preset"
-  | Warp_based ->
-    fixed_decision trace model dev c (preset c `Warp) "warp-based preset"
-  | Fixed m ->
-    fixed_decision trace model dev c (respect_hard c m) "fixed"
+    fixed_decision (preset c `Tbt) "thread-block/thread preset"
+  | Warp_based -> fixed_decision (preset c `Warp) "warp-based preset"
+  | Fixed m -> fixed_decision (respect_hard c m) "fixed"

@@ -46,6 +46,7 @@ val of_string : name:string -> string -> (t, string) result
 val decide :
   ?trace:(Search.traced -> unit) ->
   ?model:Cost_model.kind ->
+  ?shuffle:bool ->
   Ppat_gpu.Device.t ->
   Collect.t ->
   t ->
@@ -54,7 +55,8 @@ val decide :
     [trace] receives every candidate considered: the full enumeration for
     [Auto] (see {!Search.search}), the single preset mapping otherwise.
     [model] defaults to {!Cost_model.default}; it steers the ranking for
-    [Auto] and is recorded (plus a prediction) for every strategy. *)
+    [Auto] and is recorded (plus a prediction) for every strategy.
+    [shuffle] goes to {!Predict.predict}. *)
 
 val all_fixed : t list
 (** [One_d; Thread_block_thread; Warp_based]. *)

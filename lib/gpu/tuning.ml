@@ -1,21 +1,14 @@
-(* Process-wide code-generation tuning knobs shared by layers that cannot
-   see each other's option records: the lowering (codegen) consumes these
-   through its default options, the analytical predictor (core) prices
-   candidates consistently with what the lowering will emit, and the
-   canonical hasher tags cache keys so configurations with different
-   lowering behaviour never share an entry.
-
-   [shuffle_enabled] defaults from PPAT_SHUFFLE; the CLI's [--shuffle]
-   flips it before any work runs. *)
-
-(* ----- fail-fast PPAT_* environment parsing -----
+(* Fail-fast parsers for the PPAT_* environment variables.
 
    A malformed knob used to be silently ignored (PPAT_SIM_JOBS=four ran
    serially with no diagnostic); now every PPAT_* consumer goes through
-   these parsers and a bad value aborts with a message naming the
-   variable and the accepted values. The pure [parse_*] functions take
+   these parsers and a bad value raises [Bad_env] with a message naming
+   the variable and the accepted values. The pure [parse_*] functions take
    the raw string so unit tests can exercise the error paths without
-   touching the environment. *)
+   touching the environment. Every variable is read at call time; no
+   setting lives here as process state. *)
+
+exception Bad_env of string
 
 let parse_bool ~name s =
   match String.lowercase_ascii (String.trim s) with
@@ -46,12 +39,9 @@ let parse_enum ~name choices s =
       (Printf.sprintf "%s=%S is not recognised (accepted: %s)" name s
          (String.concat "|" (List.map (fun (a, _) -> List.hd a) choices)))
 
-(* read [name] through [parse]; unset is [None], malformed is fatal *)
+(* read [name] through [parse]; unset is [None], malformed raises *)
 let env name parse =
   match Sys.getenv_opt name with
   | None -> None
-  | Some s -> ( match parse ~name s with Ok v -> Some v | Error e -> failwith e)
-
-let env_bool name = Option.value ~default:false (env name parse_bool)
-
-let shuffle_enabled = ref (env_bool "PPAT_SHUFFLE")
+  | Some s -> (
+    match parse ~name s with Ok v -> Some v | Error e -> raise (Bad_env e))

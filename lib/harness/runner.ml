@@ -41,10 +41,12 @@ let analysis_params (prog : Pat.prog) params =
   List.iter step prog.steps;
   !extra @ params
 
-(* one mapping decision per top-level pattern of the program; [memo]
-   short-circuits the constraint collection and search through the
-   canonical-digest cache *)
-let decide_all ?model ?memo dev (prog : Pat.prog) params strategy =
+(* one mapping decision per top-level pattern of the program, priced
+   for the run's own lowering options; [memo] short-circuits the
+   constraint collection and search through the canonical-digest cache *)
+let decide_all ?model ?memo ?(opts = Lower.effective_options ()) dev
+    (prog : Pat.prog) params strategy =
+  let shuffle = opts.Lower.shuffle in
   let ap = analysis_params prog params in
   let decisions = ref [] in
   let rec step = function
@@ -55,11 +57,11 @@ let decide_all ?model ?memo dev (prog : Pat.prog) params strategy =
             (fun () ->
               match memo with
               | Some m ->
-                Ppat_core.Search_memo.decide m ?model ~params:ap
+                Ppat_core.Search_memo.decide m ?model ~shuffle ~params:ap
                   ?bind:n.bind dev prog n.pat strategy
               | None ->
                 let c = Collect.collect ~params:ap ?bind:n.bind dev prog n.pat in
-                Strategy.decide ?model dev c strategy)
+                Strategy.decide ?model ~shuffle dev c strategy)
         in
         decisions := (n.pat.Pat.pid, d) :: !decisions
       end
@@ -353,12 +355,13 @@ let stage ?engine ?sim_jobs ?attr ?opts ?params dev prog ~decisions data =
       (List.map (fun (pid, d) -> (label_of_pid prog pid, d)) decisions)
     data
 
-let run_gpu ?engine ?sim_jobs ?attr ?opts ?params ?model ?memo dev prog
-    strategy data =
+let run_gpu ?engine ?sim_jobs ?attr ?(opts = Lower.effective_options ())
+    ?params ?model ?memo dev prog strategy data =
   let decisions =
-    decide_all ?model ?memo dev prog (Option.value params ~default:[]) strategy
+    decide_all ?model ?memo ~opts dev prog
+      (Option.value params ~default:[]) strategy
   in
-  (stage ?engine ?sim_jobs ?attr ?opts ?params dev prog ~decisions data)
+  (stage ?engine ?sim_jobs ?attr ~opts ?params dev prog ~decisions data)
     .st_result
 
 (* an explicit mapping per top-level pattern instead of search decisions:

@@ -49,7 +49,8 @@ val run_gpu :
     into each profile record's [site_attr] — engine- and jobs-invariant,
     summing exactly to the launch's aggregate stats.
 
-    It is {!decide_all} followed by {!stage}, with the plan dropped. *)
+    It is {!decide_all} followed by {!stage}, both with [opts] (default
+    {!Ppat_codegen.Lower.effective_options}[ ()]), with the plan dropped. *)
 
 val run_gpu_mapped :
   ?engine:Ppat_kernel.Interp.engine ->
@@ -121,6 +122,7 @@ val analysis_params :
 val decide_all :
   ?model:Ppat_core.Cost_model.kind ->
   ?memo:Ppat_core.Search_memo.t ->
+  ?opts:Ppat_codegen.Lower.options ->
   Ppat_gpu.Device.t ->
   Ppat_ir.Pat.prog ->
   (string * int) list ->
@@ -128,7 +130,7 @@ val decide_all :
   (int * Ppat_core.Strategy.decision) list
 (** One mapping decision per top-level pattern, keyed by pattern id.
     [memo] answers repeats from the canonical-digest cache instead of
-    re-running collection and search. *)
+    re-running collection and search; both read [opts]' [shuffle] bit. *)
 
 type plan
 (** A staged program: compiled closure trees plus the host control flow

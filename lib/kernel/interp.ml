@@ -551,9 +551,6 @@ let default_engine () =
   Option.value ~default:Compiled
     (Ppat_gpu.Tuning.env "PPAT_ENGINE" engine_of_string)
 
-let fallbacks = ref 0
-let last_fallback : string option ref = ref None
-
 (* ----- intra-launch parallelism ----- *)
 
 let default_jobs () =
@@ -561,23 +558,14 @@ let default_jobs () =
   | Some n -> min n Ppat_parallel.max_jobs
   | None -> 1
 
-let parallel_fallbacks = ref 0
-let last_parallel_fallback : string option ref = ref None
-
 (* blocks of a kernel with global atomics observe each other through the
    atomics' results, so their relative order matters; such launches run
    serially to stay deterministic (and identical to jobs = 1) *)
 let effective_jobs ~jobs (l : Kir.launch) =
   if jobs <= 1 then 1
-  else if (Kir.features l.kernel).f_global_atomics then begin
-    incr parallel_fallbacks;
+  else if (Kir.features l.kernel).f_global_atomics then (
     Ppat_metrics.Metrics.incr Engine_metrics.parallel_fallbacks;
-    last_parallel_fallback :=
-      Some
-        (Printf.sprintf "kernel %s uses global atomics; running serially"
-           l.kernel.kname);
-    1
-  end
+    1)
   else jobs
 
 let run ?engine ?jobs ?attr (dev : Device.t) (mem : Memory.t)
@@ -598,8 +586,6 @@ let run ?engine ?jobs ?attr (dev : Device.t) (mem : Memory.t)
           Compile.compile dev mem l)
     with
     | Ok c -> Compile.execute ~jobs ?attr dev c
-    | Error reason ->
-      incr fallbacks;
+    | Error _ ->
       Ppat_metrics.Metrics.incr Engine_metrics.fallbacks;
-      last_fallback := Some reason;
       run_reference ~jobs ?attr dev mem l)

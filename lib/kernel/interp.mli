@@ -46,26 +46,12 @@ val default_engine : unit -> engine
     select the default explicitly. Any other value fails fast (via
     {!Ppat_gpu.Tuning.env}) instead of being silently ignored. *)
 
-val fallbacks : int ref
-(** Number of launches the [Compiled] engine handed to the reference
-    engine since program start (cumulative; tests reset it). *)
-
-val last_fallback : string option ref
-(** Reason of the most recent fallback. *)
-
 val default_jobs : unit -> int
 (** Worker-domain count for intra-launch parallel simulation: the
     [PPAT_SIM_JOBS] environment variable (clamped to
     [1 .. Ppat_parallel.max_jobs]), defaulting to 1 (serial). A value
     that is not a positive integer fails fast instead of silently
     running serially. *)
-
-val parallel_fallbacks : int ref
-(** Number of launches that requested [jobs > 1] but ran serially because
-    the kernel uses global atomics (cumulative; tests reset it). *)
-
-val last_parallel_fallback : string option ref
-(** Reason of the most recent serial fallback of a parallel run. *)
 
 val effective_jobs : jobs:int -> Kir.launch -> int
 (** The worker count a launch actually runs with: [jobs], demoted to 1
@@ -107,7 +93,7 @@ val run :
     and the logs are replayed through the address-sliced L2 in serial
     block order at merge time ({!Ppat_gpu.Warp_access.replay_log}).
     Launches whose kernels use global atomics run serially regardless
-    ({!parallel_fallbacks}). Buffer mutations race only if distinct blocks
+    (counted on the [engine.parallel_fallbacks] metric). Buffer mutations race only if distinct blocks
     write the same element, which the codegen never emits. *)
 
 val max_loop_iters : int

@@ -157,8 +157,6 @@ let features k =
   and stmts acc l = List.fold_left stmt acc l in
   stmts no_features k.body
 
-let uses_global_atomics k = (features k).f_global_atomics
-
 let validate k =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in

@@ -120,9 +120,6 @@ val features : kernel -> features
     (parallel-fallback policy, race checker, reporting) read this one
     fold so their notions of "uses X" cannot drift apart. *)
 
-val uses_global_atomics : kernel -> bool
-(** [(features k).f_global_atomics]. *)
-
 val validate : kernel -> (unit, string) result
 (** Checks register slots are within [nregs] (including the result
     register of [Atomic_add_ret] at any nesting depth), shared accesses

@@ -17,7 +17,6 @@ type exec = Closure of Compile.t | Fallback of string
 type 'm slaunch = {
   launch : Kir.launch;
   exec : exec;
-  serial_only : bool;
   meta : 'm;
 }
 
@@ -69,20 +68,13 @@ let stage_launch ?cache dev mem (l : Kir.launch) ~meta =
     | Ok c -> Closure c
     | Error reason ->
       (* same accounting a cold Interp.run would do on rejection *)
-      incr Interp.fallbacks;
       Metrics.incr Engine_metrics.fallbacks;
-      Interp.last_fallback := Some reason;
       Fallback reason
   in
-  { launch = l; exec; serial_only = (Kir.features l.Kir.kernel).Kir.f_global_atomics; meta }
+  { launch = l; exec; meta }
 
 let reference_slaunch (l : Kir.launch) ~meta =
-  {
-    launch = l;
-    exec = Fallback "reference engine requested";
-    serial_only = (Kir.features l.Kir.kernel).Kir.f_global_atomics;
-    meta;
-  }
+  { launch = l; exec = Fallback "reference engine requested"; meta }
 
 (* ----- replay ----- *)
 

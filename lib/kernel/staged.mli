@@ -30,8 +30,6 @@ type exec =
 type 'm slaunch = {
   launch : Kir.launch;
   exec : exec;
-  serial_only : bool;
-      (** kernel uses global atomics: always simulate with one worker *)
   meta : 'm;  (** caller-owned per-launch payload (labels, mappings) *)
 }
 

@@ -3,9 +3,10 @@
    The interesting state is two LRUs. The search memo deduplicates mapping
    searches across requests by canonical nest digest; the plan cache holds
    whole staged programs — compiled closure trees plus their staging
-   memory image — keyed by canonical program digest, strategy, cost model
-   and engine. A plan hit replays the closures against the request's data
-   and pays only simulation cost; the answer is bit-identical to a cold
+   memory image — keyed by canonical program digest, strategy, cost model,
+   engine and the server's shuffle bit. A plan hit replays the closures
+   against the request's data and pays only simulation cost; the answer
+   is bit-identical to a cold
    run because replay refills the very arrays the closures captured
    (Runner.replay's contract, asserted by test_serve). *)
 
@@ -35,6 +36,8 @@ type plan_entry = {
 
 type t = {
   device : Ppat_gpu.Device.t;
+  opts : Ppat_codegen.Lower.options;
+      (* every request's lowering options, read from PPAT_SHUFFLE once *)
   memo : Search_memo.t;
   plans : plan_entry Lru.t;
   profile_lock : Mutex.t;
@@ -49,6 +52,7 @@ let create ?(device = Ppat_gpu.Device.k20c) ?(memo_capacity = 256)
     ?(plan_capacity = 64) () =
   {
     device;
+    opts = Ppat_codegen.Lower.effective_options ();
     memo = Search_memo.create ~capacity:memo_capacity ();
     plans = Lru.create ~capacity:plan_capacity "plan_cache";
     profile_lock = Mutex.create ();
@@ -88,11 +92,13 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Bad_request s)) fmt
 let parse_field parse name v =
   match parse ~name v with Ok x -> x | Error e -> fail "%s" e
 
+(* [default] is forced only when the field is absent: it may read a
+   PPAT_* variable, which must not fail a request that names the field *)
 let str_field ?default j name =
   match Jsonx.member name j with
   | None | Some Jsonx.Null -> (
     match default with
-    | Some d -> d
+    | Some d -> d ()
     | None -> fail "missing required field %S" name)
   | Some v -> (
     match Jsonx.to_str v with
@@ -121,12 +127,15 @@ let params_field j =
 let req_of_json j =
   let rq_engine =
     parse_field Interp.engine_of_string "engine"
-      (str_field ~default:(Interp.engine_name (Interp.default_engine ())) j
-         "engine")
+      (str_field
+         ~default:(fun () -> Interp.engine_name (Interp.default_engine ()))
+         j "engine")
   in
   let rq_model =
-    let s = str_field ~default:(Cost_model.name (Cost_model.default ())) j
-        "cost_model"
+    let s =
+      str_field
+        ~default:(fun () -> Cost_model.name (Cost_model.default ()))
+        j "cost_model"
     in
     match Cost_model.of_string s with Ok m -> m | Error e -> fail "%s" e
   in
@@ -144,7 +153,7 @@ let req_of_json j =
     rq_params = params_field j;
     rq_strategy =
       parse_field Strategy.of_string "strategy"
-        (str_field ~default:"auto" j "strategy");
+        (str_field ~default:(fun () -> "auto") j "strategy");
     rq_engine;
     rq_model;
     rq_sim_jobs;
@@ -214,15 +223,16 @@ type outcome = {
   o_sim_s : float;
 }
 
-let plan_key t (rq : req) prog resolved =
+let plan_key t ~strategy ~model ~engine prog resolved =
   Canon.digest
     (String.concat "|"
        [
          Canon.prog_key ~params:resolved prog;
          t.device.Ppat_gpu.Device.dname;
-         Strategy.name rq.rq_strategy;
-         Cost_model.name rq.rq_model;
-         Interp.engine_name rq.rq_engine;
+         Strategy.name strategy;
+         Cost_model.name model;
+         Interp.engine_name engine;
+         (if t.opts.Ppat_codegen.Lower.shuffle then "shfl" else "smem");
        ])
 
 let execute t (rq : req) (app : A.App.t) data =
@@ -233,13 +243,13 @@ let execute t (rq : req) (app : A.App.t) data =
     let decisions =
       Runner.decide_all ~model:rq.rq_model
         ?memo:(if use_memo then Some t.memo else None)
-        t.device prog params rq.rq_strategy
+        ~opts:t.opts t.device prog params rq.rq_strategy
     in
     let search_s = now () -. t0 in
     let t1 = now () in
     let st =
-      Runner.stage ~engine:rq.rq_engine ~sim_jobs:rq.rq_sim_jobs ~attr ~params
-        t.device prog ~decisions data
+      Runner.stage ~engine:rq.rq_engine ~sim_jobs:rq.rq_sim_jobs ~attr
+        ~opts:t.opts ~params t.device prog ~decisions data
     in
     let wall = now () -. t1 in
     ( decisions,
@@ -257,7 +267,10 @@ let execute t (rq : req) (app : A.App.t) data =
     let _, _, o = cold ~use_memo:false ~status:"bypass" () in
     o
   else begin
-    let key = plan_key t rq prog (A.App.resolved_params app) in
+    let key =
+      plan_key t ~strategy:rq.rq_strategy ~model:rq.rq_model
+        ~engine:rq.rq_engine prog (A.App.resolved_params app)
+    in
     let fill status =
       let decisions, st, o = cold ~use_memo:true ~status () in
       Lru.put t.plans key
@@ -293,7 +306,7 @@ let execute t (rq : req) (app : A.App.t) data =
       let t0 = now () in
       let st =
         Runner.stage ~engine:rq.rq_engine ~sim_jobs:rq.rq_sim_jobs ~attr
-          ~params t.device prog ~decisions:pe_decisions data
+          ~opts:t.opts ~params t.device prog ~decisions:pe_decisions data
       in
       let wall = now () -. t0 in
       {
@@ -482,7 +495,8 @@ let rec handle_json t ~jobs j : Jsonx.t * bool =
     let id = Option.value (Jsonx.member "id" j) ~default:Jsonx.Null in
     let resp =
       match req_of_json j with
-      | exception Bad_request msg -> error_response ~id msg
+      | exception (Bad_request msg | Ppat_gpu.Tuning.Bad_env msg) ->
+        error_response ~id msg
       | rq -> (
         let run () =
           if rq.rq_profile then

@@ -7,8 +7,8 @@
       nest digest, so alpha-equivalent nests on the same device under the
       same resolved parameters and cost model share one mapping search;
     - a {e staged-plan cache} keyed by the canonical program digest plus
-      strategy, cost model and engine tags, holding the compiled closure
-      trees and the staging memory image ({!Ppat_harness.Runner.plan}).
+      strategy, cost model, engine and shuffle tags, holding the compiled
+      closure trees and staging memory image ({!Ppat_harness.Runner.plan}).
 
     A plan-cache hit skips search {e and} lowering {e and} closure
     compilation: the request pays only simulation cost, and its answer is
@@ -32,11 +32,11 @@
 
     Every field but ["app"] is optional; ["engine"], ["cost_model"] and
     ["sim_jobs"] default from [PPAT_ENGINE], [PPAT_COST_MODEL] and
-    [PPAT_SIM_JOBS] as on the command line. ["params"] overrides go through
-    {!Ppat_apps.App.with_params}, so a derived size follows its primary
-    and a broken app invariant is an error naming the parameter. The
-    response carries the
-    deterministic payload under ["answer"] (aggregate statistics, mapping
+    [PPAT_SIM_JOBS] as on the command line (a malformed one is a named
+    error); [PPAT_SHUFFLE] is read once, by {!create}. ["params"]
+    overrides go through {!Ppat_apps.App.with_params}, so a derived size
+    follows its primary and a broken app invariant is an error naming the
+    parameter. The response carries the deterministic payload under ["answer"] (aggregate statistics, mapping
     decisions, an MD5 digest over statistics plus all final buffer
     contents, and the buffers themselves when ["buffers"] is true),
     cache verdicts under ["cache"], and wall-clock phase timings under
@@ -59,7 +59,15 @@ val create :
   unit ->
   t
 (** Default device {!Ppat_gpu.Device.k20c}, 256 memoised searches, 64
-    staged plans. *)
+    staged plans, lowering options from
+    {!Ppat_codegen.Lower.effective_options} (may raise its [Bad_env]). *)
+
+val plan_key :
+  t -> strategy:Ppat_core.Strategy.t -> model:Ppat_core.Cost_model.kind ->
+  engine:Ppat_kernel.Interp.engine -> Ppat_ir.Pat.prog ->
+  (string * int) list -> string
+(** The staged-plan key of a program under resolved parameters, covering
+    the server's device and shuffle bit — exposed for tests. *)
 
 val handle_line : t -> string -> string * bool
 (** Answer one request line with one response line (no trailing newline).

@@ -12,6 +12,9 @@ module Q = QCheck2
 let dev = Ppat_gpu.Device.k20c
 let to_alcotest = QCheck_alcotest.to_alcotest
 
+(* engine counters live in the metrics registry; tests read deltas *)
+let metric name = Ppat_metrics.(Metrics.value (Metrics.counter name))
+
 (* polymorphic compare, not (=): NaN must equal NaN bit-for-bit here *)
 let buf_equal (a : Host.buf) (b : Host.buf) =
   match (a, b) with
@@ -78,14 +81,13 @@ let test_apps_differential () =
   List.iter
     (fun (name, app, strat, opts) ->
       let rr = run_app Interp.Reference app strat opts in
-      Interp.fallbacks := 0;
+      let before = metric "engine.fallbacks" in
       let rc = run_app Interp.Compiled app strat opts in
       (* the closure engine must actually handle the bench suite, not
          quietly punt back to the tree-walker *)
-      Alcotest.(check int)
-        (name ^ ": no fallbacks "
-        ^ Option.value ~default:"" !Interp.last_fallback)
-        0 !Interp.fallbacks;
+      Alcotest.(check (float 0.))
+        (name ^ ": no fallbacks")
+        0. (metric "engine.fallbacks" -. before);
       Alcotest.(check bool)
         (name ^ ": aggregate stats bit-identical")
         true
@@ -351,11 +353,12 @@ let fresh_mem () =
   ignore (Memory.load mem "out_i" (Host.I (Array.make n_i 0)));
   mem
 
+let launch_of k =
+  { Kir.kernel = k; grid = (2, 1, 1); block = (48, 1, 1); kparams = [] }
+
 let run_one engine k =
   let mem = fresh_mem () in
-  let l =
-    { Kir.kernel = k; grid = (2, 1, 1); block = (48, 1, 1); kparams = [] }
-  in
+  let l = launch_of k in
   (* jobs pinned to 1: random kernels may race distinct blocks' stores on
      the same element, so their buffers are only deterministic serially.
      Engine equivalence is what is under test here; parallel-vs-serial
@@ -389,17 +392,16 @@ let kernel ?(nregs = 8) name body =
     body;
   }
 
-let lane_replays () =
-  Ppat_metrics.(Metrics.value (Metrics.counter "engine.lane_replays"))
+let lane_replays () = metric "engine.lane_replays"
 
 (* [run] on both engines: the compiled run must take the lane-by-lane
    replay branch, without falling back, and agree bit for bit *)
 let check_replay run =
   let sr, outr = run Interp.Reference in
-  Interp.fallbacks := 0;
-  let before = lane_replays () in
+  let before = lane_replays () and fallbacks = metric "engine.fallbacks" in
   let sc, outc = run Interp.Compiled in
-  Alcotest.(check int) "compiled, no fallback" 0 !Interp.fallbacks;
+  Alcotest.(check (float 0.)) "compiled, no fallback" 0.
+    (metric "engine.fallbacks" -. fallbacks);
   Alcotest.(check bool) "replay branch taken" true (lane_replays () > before);
   Alcotest.(check bool) "stats bit-identical" true (Stats.equal sr sc);
   Alcotest.(check bool) "buffers bit-identical" true (data_equal outr outc)
@@ -512,11 +514,15 @@ let test_rejections () =
           (Kir.Store_g ("out_f", Kir.Tid Kir.X, Kir.Float 2.) :: body)
       in
       let sr, outr = run_one Interp.Reference k in
-      Interp.fallbacks := 0;
-      Interp.last_fallback := None;
+      let before = metric "engine.fallbacks" in
       let sc, outc = run_one Interp.Compiled k in
-      let got = Option.value ~default:"" !Interp.last_fallback in
-      Alcotest.(check int) (reason ^ ": one fallback") 1 !Interp.fallbacks;
+      Alcotest.(check (float 0.)) (reason ^ ": one fallback") 1.
+        (metric "engine.fallbacks" -. before);
+      let got =
+        match Ppat_kernel.Compile.compile dev (fresh_mem ()) (launch_of k) with
+        | Error got -> got
+        | Ok _ -> ""
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s: reason named (got %S)" reason got)
         true (Astring_like.contains got reason);

@@ -158,7 +158,24 @@ let mapping_sweep_case =
           end)
         all)
 
+(* the ablation's shuffle row at a reduced size: both lowerings validate
+   and warp shuffles beat the shared-memory trees on msmCluster's
+   warp-fitting arg-min reductions *)
+let shuffle_ablation_case =
+  Alcotest.test_case "ablation: shuffle synthesis beats smem trees" `Quick
+    (fun () ->
+      match (A.Experiments.shuffle_row ~frames:256 dev).cells with
+      | [ smem; shfl ] ->
+        Alcotest.(check bool) "smem-tree validates" true smem.ok;
+        Alcotest.(check bool) "shuffle validates" true shfl.ok;
+        Alcotest.(check bool)
+          (Printf.sprintf "shuffle faster (%.4g s vs %.4g s)" shfl.seconds
+             smem.seconds)
+          true
+          (shfl.seconds < smem.seconds)
+      | _ -> Alcotest.fail "the shuffle row has two cells")
+
 let tests =
   List.map (fun (n, mk) -> app_case n mk) apps
-  @ [ alloc_mode_cases; mapping_sweep_case ]
+  @ [ alloc_mode_cases; mapping_sweep_case; shuffle_ablation_case ]
   @ manual_cases

@@ -147,6 +147,39 @@ let test_cuda_launch_comment () =
   Alcotest.(check bool) "grid in comment" true (contains c "dim3(4,1,1)");
   Alcotest.(check bool) "block in comment" true (contains c "dim3(256,1,1)")
 
+(* every decision the search ships, under every cost model, is a mapping
+   the lowering supports: DOP control must not split a level holding a
+   dynamically-sized pattern *)
+let test_searched_decisions_lower () =
+  List.iter
+    (fun (name, mk) ->
+      let app : Ppat_apps.App.t = mk () in
+      let params = Ppat_harness.Runner.analysis_params app.prog app.params in
+      List.iter
+        (fun model ->
+          let decisions =
+            Ppat_harness.Runner.decide_all ~model ~opts:Lower.default_options
+              dev app.prog app.params Ppat_core.Strategy.Auto
+          in
+          let rec step = function
+            | Pat.Launch n -> (
+              let m =
+                (List.assoc n.pat.Pat.pid decisions).Ppat_core.Strategy.mapping
+              in
+              match Lower.lower dev ~params app.prog n m with
+              | _ -> ()
+              | exception Lower.Unsupported e ->
+                Alcotest.failf "%s, %s model, %s: %s" name
+                  (Ppat_core.Cost_model.name model)
+                  (M.to_string m) e)
+            | Pat.Host_loop { body; _ } | Pat.While_flag { body; _ } ->
+              List.iter step body
+            | Pat.Swap _ -> ()
+          in
+          List.iter step app.prog.Pat.steps)
+        Ppat_core.Cost_model.all)
+    Ppat_apps.Registry.all
+
 let tests =
   [
     Alcotest.test_case "figure 9 kernel shape" `Quick test_fig9_shape;
@@ -161,4 +194,6 @@ let tests =
     Alcotest.test_case "mapping arity checked" `Quick
       test_mapping_length_mismatch;
     Alcotest.test_case "launch comment" `Quick test_cuda_launch_comment;
+    Alcotest.test_case "searched decisions lower under every model" `Quick
+      test_searched_decisions_lower;
   ]

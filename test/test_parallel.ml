@@ -73,15 +73,15 @@ let test_apps_parallel () =
       let serial = run_app ~sim_jobs:1 app strat opts in
       List.iter
         (fun jobs ->
-          Interp.parallel_fallbacks := 0;
+          let before = Test_engine.metric "engine.parallel_fallbacks" in
           let par = run_app ~sim_jobs:jobs app strat opts in
           let tag = Printf.sprintf "%s @ %d jobs" name jobs in
           (* the bench kernels must actually run in parallel, not quietly
              serialise through the atomics gate *)
-          Alcotest.(check int)
-            (tag ^ ": no serial fallback "
-            ^ Option.value ~default:"" !Interp.last_parallel_fallback)
-            0 !Interp.parallel_fallbacks;
+          Alcotest.(check (float 0.))
+            (tag ^ ": no serial fallback")
+            0.
+            (Test_engine.metric "engine.parallel_fallbacks" -. before);
           Alcotest.(check bool)
             (tag ^ ": aggregate stats bit-identical")
             true

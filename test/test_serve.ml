@@ -323,6 +323,84 @@ let test_engine_default () =
       Alcotest.(check string) "explicit compiled is another plan" "miss"
         (plan [ ("engine", J.Str "compiled") ]))
 
+(* a malformed PPAT_* variable a request falls back on is a named
+   request error; the server keeps answering, and a request that names
+   the field never reads the variable *)
+let test_bad_env () =
+  let server = Serve.create () in
+  let line extra =
+    J.to_string ~minify:true
+      (J.Obj
+         ([
+            ("app", J.Str "sum_rows");
+            ("params", J.Obj [ ("R", J.Int 24); ("C", J.Int 16) ]);
+          ]
+         @ extra))
+  in
+  List.iter
+    (fun (var, bad, default, field) ->
+      Test_sweep.with_env var bad ~default (fun () ->
+          let resp, stop = Serve.handle_line server (line []) in
+          Alcotest.(check bool) (var ^ ": no shutdown") false stop;
+          let j = parse_resp var resp in
+          Alcotest.(check bool) (var ^ ": an error answer") true
+            (get [ "ok" ] j = Some (J.Bool false));
+          let e = get_str var [ "error" ] j in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s named (got %S)" var e)
+            true (Astring_like.contains e var);
+          ignore (serve_one (var ^ ": field given") server (line [ field ]))))
+    [
+      ("PPAT_COST_MODEL", "psychic", "soft", ("cost_model", J.Str "soft"));
+      ("PPAT_ENGINE", "turbo", "compiled", ("engine", J.Str "compiled"));
+      ("PPAT_SIM_JOBS", "x", "1", ("sim_jobs", J.Int 1));
+    ];
+  (* the lowering options are read once, when the server is created *)
+  Test_sweep.with_env "PPAT_SHUFFLE" "maybe" ~default:"0" (fun () ->
+      match Serve.create () with
+      | exception Ppat_gpu.Tuning.Bad_env e ->
+        Alcotest.(check bool) "PPAT_SHUFFLE named" true
+          (Astring_like.contains e "PPAT_SHUFFLE")
+      | _ -> Alcotest.fail "PPAT_SHUFFLE=maybe accepted at create")
+
+(* the shuffle bit is part of every cache key that can outlive a run:
+   the search memo's nest key and the server's plan key differ exactly
+   when it differs *)
+let test_keys_cover_shuffle () =
+  let app = A.Sum_rows_cols.sum_rows () in
+  let prog = app.A.App.prog in
+  let n =
+    match prog.Pat.steps with Pat.Launch n :: _ -> n | _ -> assert false
+  in
+  let params = Runner.analysis_params prog app.A.App.params in
+  let nest ?shuffle () =
+    Ppat_core.Canon.nest_key ~params ?bind:n.Pat.bind ?shuffle dev prog
+      n.Pat.pat
+  in
+  let memo shuffle =
+    Ppat_core.Search_memo.key ~model:Ppat_core.Cost_model.Soft ~shuffle
+      ~params ?bind:n.Pat.bind dev prog n.Pat.pat Strategy.Auto
+  in
+  let plan shuffle =
+    let server =
+      Test_sweep.with_env "PPAT_SHUFFLE" (string_of_bool shuffle)
+        ~default:"0" Serve.create
+    in
+    Serve.plan_key server ~strategy:Strategy.Auto
+      ~model:Ppat_core.Cost_model.Soft ~engine:Interp.Compiled prog
+      (A.App.resolved_params app)
+  in
+  Alcotest.(check string) "nest key defaults to shuffle off"
+    (nest ~shuffle:false ()) (nest ());
+  List.iter
+    (fun (a, b) ->
+      let tag what = Printf.sprintf "%s keys, shuffle %b vs %b" what a b in
+      Alcotest.(check bool) (tag "nest") (a = b)
+        (nest ~shuffle:a () = nest ~shuffle:b ());
+      Alcotest.(check bool) (tag "memo") (a = b) (memo a = memo b);
+      Alcotest.(check bool) (tag "plan") (a = b) (plan a = plan b))
+    [ (false, false); (false, true); (true, false); (true, true) ]
+
 let test_protocol_batch () =
   let server = Serve.create () in
   let a = request "sum_rows" [ ("R", 32); ("C", 16) ] ~engine:"compiled"
@@ -568,6 +646,10 @@ let tests =
       test_protocol_ops;
     Alcotest.test_case "protocol: engine defaults to PPAT_ENGINE" `Quick
       test_engine_default;
+    Alcotest.test_case "protocol: malformed PPAT_* is a named error" `Quick
+      test_bad_env;
+    Alcotest.test_case "cache keys cover the shuffle bit" `Quick
+      test_keys_cover_shuffle;
     Alcotest.test_case "protocol: concurrent batch" `Quick test_protocol_batch;
     Alcotest.test_case "protocol: per-request profile and metrics delta" `Quick
       test_protocol_profile;

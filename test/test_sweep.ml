@@ -367,22 +367,28 @@ let with_env name bad_value ~default f =
 let test_env_fail_fast () =
   with_env "PPAT_SIM_JOBS" "lots" ~default:"1" (fun () ->
       match Ppat_kernel.Interp.default_jobs () with
-      | exception Failure e ->
+      | exception Ppat_gpu.Tuning.Bad_env e ->
         Alcotest.(check bool) "names PPAT_SIM_JOBS" true
           (Astring_like.contains e "PPAT_SIM_JOBS")
       | n -> Alcotest.failf "PPAT_SIM_JOBS=lots parsed as %d" n);
   with_env "PPAT_ENGINE" "turbo" ~default:"compiled" (fun () ->
       match Ppat_kernel.Interp.default_engine () with
-      | exception Failure e ->
+      | exception Ppat_gpu.Tuning.Bad_env e ->
         Alcotest.(check bool) "names PPAT_ENGINE" true
           (Astring_like.contains e "PPAT_ENGINE")
       | _ -> Alcotest.fail "PPAT_ENGINE=turbo accepted");
   with_env "PPAT_COST_MODEL" "psychic" ~default:"soft" (fun () ->
       match Cost_model.default () with
-      | exception Failure e ->
+      | exception Ppat_gpu.Tuning.Bad_env e ->
         Alcotest.(check bool) "names PPAT_COST_MODEL" true
           (Astring_like.contains e "PPAT_COST_MODEL")
       | _ -> Alcotest.fail "PPAT_COST_MODEL=psychic accepted");
+  with_env "PPAT_SHUFFLE" "maybe" ~default:"0" (fun () ->
+      match Ppat_codegen.Lower.effective_options () with
+      | exception Ppat_gpu.Tuning.Bad_env e ->
+        Alcotest.(check bool) "names PPAT_SHUFFLE" true
+          (Astring_like.contains e "PPAT_SHUFFLE")
+      | _ -> Alcotest.fail "PPAT_SHUFFLE=maybe accepted");
   (* valid values still parse after the failures *)
   with_env "PPAT_SIM_JOBS" "3" ~default:"1" (fun () ->
       Alcotest.(check int) "valid value honoured" 3
