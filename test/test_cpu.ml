@@ -195,20 +195,67 @@ let test_counts () =
   Alcotest.(check bool) "ops counted" true (counts.I.ops >= 512.);
   Alcotest.(check bool) "bytes counted" true (counts.I.bytes >= 512. *. 8.)
 
+(* every fault is one typed trap naming the buffer or variable and, where
+   there is one, the index *)
 let test_errors () =
-  let expect name p data =
+  let expect name ?index site p data =
     match run p data with
-    | _ -> Alcotest.failf "%s: expected failure" name
-    | exception Failure _ -> ()
+    | _ -> Alcotest.failf "%s: expected a trap" name
+    | exception I.Trap (s, msg) ->
+      Alcotest.(check string) (name ^ ": named site") site s.I.name;
+      Alcotest.(check (option int)) (name ^ ": index") index s.I.index;
+      (* the registered printer is what serve's "request failed" shows *)
+      let shown = Printexc.to_string (I.Trap (s, msg)) in
+      Alcotest.(check bool)
+        (name ^ ": printed with its site: " ^ shown)
+        true
+        (Astring_like.contains shown site)
   in
   let b = Builder.create () in
   let oob =
     Builder.foreach b ~size:(Pat.Sconst 4) (fun i0 ->
         [ Pat.Store ("out", [ Exp.Infix.(i0 + i 100) ], Exp.Float 0.) ])
   in
-  expect "out of bounds"
+  expect "out of bounds" "out" ~index:100
     (prog [ fout 4 ] [ Pat.Launch { bind = None; pat = oob } ])
-    []
+    [];
+  (* a local array's atomic accumulation past its end *)
+  let local_atomic =
+    Builder.foreach b ~size:(Pat.Sconst 2) (fun _ ->
+        [
+          Builder.bind "tmp"
+            (Builder.map b ~size:(Pat.Sconst 4) (fun _ -> ([], Exp.Float 1.)));
+          Pat.Atomic_add ("tmp", [ Exp.Int 9 ], Exp.Float 1.);
+        ])
+  in
+  expect "local atomic_add out of range" "tmp" ~index:9
+    (prog [ fout 4 ] [ Pat.Launch { bind = None; pat = local_atomic } ])
+    [];
+  expect "swap of an unknown buffer" "nope"
+    (prog [ fout 4 ] [ Pat.Swap ("out", "nope") ])
+    [];
+  expect "while_flag on an unknown buffer" "flag"
+    (prog [ fout 4 ]
+       [ Pat.While_flag { flag = "flag"; max_iter = 3; body = [] } ])
+    [];
+  expect "unbound variable" "ghost"
+    (prog [ fout 4 ]
+       [
+         Pat.Launch
+           {
+             bind = Some "out";
+             pat =
+               Builder.map b ~size:(Pat.Sconst 4) (fun _ ->
+                   ([], Exp.Var "ghost"));
+           };
+       ])
+    [];
+  (* a fault in code that never runs is no fault *)
+  let dead =
+    Builder.foreach b ~size:(Pat.Sconst 4) (fun _ ->
+        [ Pat.If (Exp.Bool false, [ Pat.Store ("out", [], Exp.Var "ghost") ], []) ])
+  in
+  ignore (run (prog [ fout 4 ] [ Pat.Launch { bind = None; pat = dead } ]) [])
 
 let tests =
   [
