@@ -30,5 +30,6 @@ let () =
       ("serve", Test_serve.tests);
       ("race", Test_race.tests);
       ("sweep", Test_sweep.tests);
+      ("mapspace", Test_mapspace.tests);
       ("golden", Test_golden.tests);
     ]
