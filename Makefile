@@ -1,6 +1,6 @@
 # Tier-1 verification plus a smoke run of the observability path itself.
 
-.PHONY: all build test smoke engines cost-models parallel bench-smoke report serve racecheck sweep check bench clean
+.PHONY: all build test smoke engines cost-models parallel bench-smoke report serve racecheck check bench clean
 
 all: build
 
@@ -27,14 +27,19 @@ engines: build
 	@echo "engines: differential suite OK under both defaults"
 
 # one cheap validated run per engine and one figure on two pool domains,
-# then every unknown app, unknown or misplaced flag, malformed flag value,
-# unknown figure, unwritable output path or malformed PPAT_* variable must
-# fail as a named usage error (exit 2), never as an uncaught exception
+# then every unknown command or app, missing APP, unknown or misplaced flag,
+# malformed flag value, unknown figure, unwritable output path or malformed
+# PPAT_* variable must fail as a named usage error (exit 2), never as an
+# uncaught exception
 bench-smoke: build
 	dune exec bin/ppat.exe -- run sum_rows --engine compiled > /dev/null
 	dune exec bin/ppat.exe -- run sum_rows --engine reference > /dev/null
 	dune exec bin/ppat.exe -- figures fig3 --jobs 2 > /dev/null
-	@for args in "bin/ppat.exe -- run sum_rows -s bogus" \
+	@for args in "bin/ppat.exe -- bogus" \
+	    "bin/ppat.exe -- run" \
+	    "bin/ppat.exe -- modelcmp sum_rows" \
+	    "bin/ppat.exe -- sweep sum_rows" \
+	    "bin/ppat.exe -- run sum_rows -s bogus" \
 	    "bin/ppat.exe -- run sum_rows --engine bogus" \
 	    "bin/ppat.exe -- run sum_rows --cost-model bogus" \
 	    "bin/ppat.exe -- run sum_rows --sim-jobs x" \
@@ -49,7 +54,7 @@ bench-smoke: build
 	    "bin/ppat.exe -- run sum_rows --bogus" \
 	    "bin/ppat.exe -- cuda sum_rows --bogus" \
 	    "bin/ppat.exe -- cuda sum_rows --engine reference" \
-	    "bin/ppat.exe -- modelcmp sum_rows --sim-jobs 2" \
+	    "bin/ppat.exe -- mapspace sum_rows --budget 3" \
 	    "bin/ppat.exe -- trace-search sum_rows --engine reference" \
 	    "bin/ppat.exe -- run sum_rows --budget 3" \
 	    "bin/ppat.exe -- run sum_rows --json /tmp/ppat_usage_out.json" \
@@ -71,16 +76,21 @@ bench-smoke: build
 	    cat /tmp/ppat_usage_err.txt; exit 1; \
 	  fi; \
 	done
-	@echo "bench-smoke: both engines validate sum_rows; fig3 OK on 2 jobs; bad apps, flags, figures, paths and PPAT_* values exit 2"
+	@echo "bench-smoke: both engines validate sum_rows; fig3 OK on 2 jobs; bad commands, apps, flags, figures, paths and PPAT_* values exit 2"
 
 # tier-1 under both cost-model defaults (mapping-specific assertions pin
-# Soft explicitly, everything else must hold under any model), plus a
-# model-comparison smoke run against the simulator
+# Soft explicitly, everything else must hold under any model; test_mapspace
+# pins every model's regret on the sweep apps), plus a mapping-space report
+# against the simulator whose JSON must carry schema ppat-mapspace/1
 cost-models: build
 	PPAT_COST_MODEL=soft dune runtest --force
 	PPAT_COST_MODEL=analytical dune runtest --force
-	dune exec bin/ppat.exe -- modelcmp sum_rows --top 3 > /dev/null
-	@echo "cost-models: tier-1 OK under soft and analytical; modelcmp OK"
+	dune exec bin/ppat.exe -- mapspace sum_rows --top 3 --jobs 2 \
+	  --json /tmp/ppat_mapspace_smoke.json > /dev/null
+	python3 -m json.tool /tmp/ppat_mapspace_smoke.json > /dev/null
+	@grep -q '"schema": "ppat-mapspace/1"' /tmp/ppat_mapspace_smoke.json \
+	  || { echo "cost-models: mapspace JSON lacks schema ppat-mapspace/1"; exit 1; }
+	@echo "cost-models: tier-1 OK under soft and analytical; mapspace OK"
 
 # tier-1 under both serial and multi-domain simulator defaults (every
 # statistic is bit-identical at any job count, so the whole suite must
@@ -129,21 +139,7 @@ racecheck: build
 	dune exec test/main.exe -- test race > /dev/null
 	@echo "racecheck: staged kernels race-free in both modes; shuffle differential OK"
 
-# mapping-space sweep gate: run `ppat sweep` over every bench app. Each
-# invocation exits non-zero if calibrating the analytical predictor
-# worsens its regret on that app. Budgets are sized
-# so the whole target stays a few minutes; whole >= 200-candidate spaces
-# are pinned by the sweep digests of test/test_golden.ml.
-sweep: build
-	dune exec bin/ppat.exe -- sweep sum_rows --budget 64 --jobs 4 > /dev/null
-	dune exec bin/ppat.exe -- sweep sum_cols --budget 64 --jobs 4 > /dev/null
-	dune exec bin/ppat.exe -- sweep hotspot --budget 48 --jobs 4 > /dev/null
-	dune exec bin/ppat.exe -- sweep qpscd --budget 32 --jobs 4 > /dev/null
-	dune exec bin/ppat.exe -- sweep gemm --budget 24 --jobs 4 > /dev/null
-	dune exec bin/ppat.exe -- sweep msm_cluster --budget 16 --jobs 4 > /dev/null
-	@echo "sweep: calibration never worsens regret on any bench app"
-
-check: build test smoke engines cost-models parallel bench-smoke report serve racecheck sweep
+check: build test smoke engines cost-models parallel bench-smoke report serve racecheck
 
 # the repository benchmark (perfbench/README.md): the classic suite
 # workload, end-to-end and per-layer metrics on this host

@@ -9,7 +9,7 @@
                                per-access-site hot-spot attribution table
      trace-search APP [-s STRAT] [--json F]
                                ranked trace of the mapping search
-     modelcmp APP [--top K] [--json F]
+     mapspace APP [--top K] [--jobs N] [--json F]
                                rank the mapping space under every cost model
                                and compare against the simulator
      cuda APP                  print the CUDA kernels the mapping produces
@@ -204,435 +204,111 @@ let cmd_trace_search name strat model opts json =
          (List.rev_map Ppat_profile.Report.json_of_search !traces));
     Format.printf "wrote search trace to %s@." f
 
-(* ----- modelcmp: rank the mapping space under every cost model and
-   compare the rankings against simulator ground truth ----- *)
+(* ----- mapspace: rank the target pattern's mapping space under every
+   cost model and compare against the simulator (Runner.mapspace) ----- *)
 
-(* the candidate space modelcmp and sweep evaluate, unpacked; exits when
-   the target pattern has no hard-feasible mapping to compare *)
-let target_space (app : A.App.t) =
-  let ts = Ppat_harness.Runner.target_space ~params:app.params dev app.prog in
-  let t = ts.ts_target.pat in
-  if ts.ts_candidates = [||] then begin
-    Format.eprintf "no hard-feasible candidate mappings for %s@." t.label;
-    exit 1
-  end;
-  (ts.ts_base, t.pid, t.label, ts.ts_collect, ts.ts_candidates, ts.ts_duplicates)
-
-let cmd_modelcmp name engine (opts : Ppat_codegen.Lower.options) top json =
+let cmd_mapspace name engine sim_jobs (opts : Ppat_codegen.Lower.options) jobs
+    top json =
   let app = find_app name in
-  let data = A.App.input_data app in
-  let base, tpid, tlabel, tc, cands, dupes = target_space app in
+  let r =
+    match
+      Ppat_harness.Runner.mapspace ~engine ~sim_jobs ~jobs ~opts
+        ~params:app.params ~top dev app.prog (A.App.input_data app)
+    with
+    | Ok r -> r
+    | Error e ->
+      Format.eprintf "mapspace %s: %s@." name e;
+      exit 1
+  in
+  let ts = r.ms_space and st = r.ms_stats in
+  let cands = ts.ts_candidates and label = ts.ts_target.pat.Ppat_ir.Pat.label in
   let n = Array.length cands in
-  (* rank the whole space under each model: array of candidate indices in
-     rank order, plus each candidate's eval under that model *)
-  let rankings =
-    List.map
-      (fun model ->
-        let evals, order =
-          Cost_model.rank ~shuffle:opts.shuffle model dev tc cands
-        in
-        (model, evals, order))
-      Cost_model.all
-  in
-  (* simulate the union of every model's top-k plus a strided sample of
-     the rest of the space *)
-  let sample = Hashtbl.create 32 in
-  List.iter
-    (fun (_, _, order) ->
-      Array.iteri (fun rank i -> if rank < top then Hashtbl.replace sample i ())
-        order)
-    rankings;
-  let stride = max 1 (n / 12) in
-  let i = ref 0 in
-  while !i < n do
-    Hashtbl.replace sample !i ();
-    i := !i + stride
-  done;
-  let sim = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun i () ->
-      let mapping_of pid =
-        if pid = tpid then cands.(i) else List.assoc pid base
-      in
-      match
-        Ppat_harness.Runner.run_gpu_mapped ~engine ~opts ~params:app.params
-          dev app.prog mapping_of data
-      with
-      | r ->
-        (* ground truth: simulated seconds of the target pattern's own
-           launches (other patterns contribute a constant) *)
-        let secs =
-          List.fold_left
-            (fun acc (k : Ppat_profile.Record.kernel) ->
-              if k.label = tlabel then
-                acc +. k.breakdown.Ppat_gpu.Timing.seconds
-              else acc)
-            0. r.profile
-        in
-        Hashtbl.replace sim i secs
-      | exception Ppat_codegen.Lower.Unsupported _ -> ()
-      | exception Failure _ -> ())
-    sample;
-  let simulated =
-    Hashtbl.fold (fun i s acc -> (i, s) :: acc) sim []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  if List.length simulated < 2 then begin
-    Format.eprintf
-      "only %d candidate(s) could be simulated; nothing to compare@."
-      (List.length simulated);
-    exit 1
-  end;
-  let best_sim =
-    List.fold_left (fun acc (_, s) -> min acc s) infinity simulated
-  in
-  let sim_arr = Array.of_list (List.map snd simulated) in
+  let mapping i = Ppat_core.Mapping.to_string cands.(i) in
+  let fnum x = if Float.is_nan x then "n/a" else Printf.sprintf "%.3f" x in
   Format.printf
-    "modelcmp %s: target pattern %S, %d unique hard-feasible mappings (%d \
+    "mapspace %s: target pattern %S, %d unique hard-feasible mappings (%d \
      duplicate(s) dropped), %d simulated (top-%d per model + stride-%d \
      sample)@."
-    name tlabel n dupes (List.length simulated) top stride;
+    name label n ts.ts_duplicates (List.length r.ms_seconds) top
+    (Ppat_core.Sweep.stride n);
+  Format.printf
+    "  %d sampled, %d shape(s), %d failed; staging %.3fs of %.3fs wall@."
+    st.sw_candidates st.sw_shapes st.sw_failed st.sw_stage_seconds
+    st.sw_wall_seconds;
   Format.printf "  %-12s %-9s %-8s selected mapping@." "model" "spearman"
     "regret";
-  let rows =
-    List.map
-      (fun (model, evals, order) ->
-        (* rank position of each simulated candidate under this model *)
-        let pos = Array.make n 0 in
-        Array.iteri (fun rank i -> pos.(i) <- rank) order;
-        let rank_arr =
-          Array.of_list (List.map (fun (i, _) -> float_of_int pos.(i)) simulated)
-        in
-        let rho = Cost_model.spearman rank_arr sim_arr in
-        let top1 = order.(0) in
-        let top1_secs =
-          match Hashtbl.find_opt sim top1 with
-          | Some s -> s
-          | None -> nan (* top-k simulation failed to lower *)
-        in
-        let regret =
-          if best_sim > 0. then (top1_secs /. best_sim) -. 1. else 0.
-        in
-        let pred_cycles =
-          match evals.(top1).Cost_model.predicted with
-          | Some p -> Some p.Ppat_core.Predict.cycles
-          | None -> None
-        in
-        Format.printf "  %-12s %-9s %-8s %s@." (Cost_model.name model)
-          (if Float.is_nan rho then "n/a" else Printf.sprintf "%.3f" rho)
-          (if Float.is_nan regret then "n/a"
-           else Printf.sprintf "%.1f%%" (100. *. regret))
-          (Ppat_core.Mapping.to_string cands.(top1));
-        (model, rho, regret, top1, top1_secs, pred_cycles))
-      rankings
-  in
-  (* headline number: the static predictor's cycles against simulated
-     seconds, independent of any ranking tie-breaks *)
-  let pred_rho =
-    let _, a_evals, _ =
-      List.find (fun (m, _, _) -> m = Cost_model.Analytical) rankings
-    in
-    let cycles =
-      List.map
-        (fun (i, _) ->
-          match a_evals.(i).Cost_model.predicted with
-          | Some p -> p.Ppat_core.Predict.cycles
-          | None -> nan)
-        simulated
-    in
-    Cost_model.spearman (Array.of_list cycles) sim_arr
-  in
+  List.iter
+    (fun (m : Ppat_harness.Runner.model_report) ->
+      Format.printf "  %-12s %-9s %-8s %s@." (Cost_model.name m.mr_model)
+        (fnum m.mr_spearman)
+        (if Float.is_nan m.mr_regret then "n/a"
+         else Printf.sprintf "%.1f%%" (100. *. m.mr_regret))
+        (mapping m.mr_selected))
+    r.ms_models;
   Format.printf
     "predictor cycles vs simulated seconds: spearman %s over %d mappings@."
-    (if Float.is_nan pred_rho then "n/a" else Printf.sprintf "%.3f" pred_rho)
-    (List.length simulated);
+    (fnum r.ms_predictor_spearman)
+    (List.length r.ms_seconds);
   match json with
   | None -> ()
   | Some f ->
     let open Ppat_profile.Jsonx in
+    (* [number], not [Float]: spearman is undefined (nan) on constant
+       rankings and regret on a pick that failed to simulate — both must
+       reach the file as explicit nulls, never as invalid tokens *)
+    let opt_number = function Some x -> number x | None -> Null in
+    let seconds_of i = List.assoc_opt i r.ms_seconds in
     let j =
       Obj
         [
-          ("schema", Str "ppat-modelcmp/1");
+          ("schema", Str "ppat-mapspace/1");
           ("app", Str name);
-          ("pattern", Str tlabel);
-          ("feasible_candidates", Int n);
-          ("duplicates_dropped", Int dupes);
-          ("simulated", Int (List.length simulated));
-          (* [number], not [Float]: spearman is undefined (nan) on
-             constant rankings and regret can degenerate — both must
-             reach the file as explicit nulls, never as invalid tokens *)
-          ("predictor_spearman", number pred_rho);
-          ( "models",
-            List
-              (List.map
-                 (fun (model, rho, regret, top1, top1_secs, pred_cycles) ->
-                   Obj
-                     [
-                       ("model", Str (Cost_model.name model));
-                       ("spearman", number rho);
-                       ("regret", number regret);
-                       ( "selected_mapping",
-                         Str (Ppat_core.Mapping.to_string cands.(top1)) );
-                       ("selected_sim_seconds", number top1_secs);
-                       ( "selected_predicted_cycles",
-                         match pred_cycles with
-                         | Some c -> number c
-                         | None -> Null );
-                     ])
-                 rows) );
-          ( "sample",
-            List
-              (List.map
-                 (fun (i, s) ->
-                   Obj
-                     [
-                       ( "mapping",
-                         Str (Ppat_core.Mapping.to_string cands.(i)) );
-                       ("sim_seconds", number s);
-                     ])
-                 simulated) );
-        ]
-    in
-    to_file f j;
-    Format.printf "wrote modelcmp report to %s@." f
-
-(* ----- sweep: evaluation of the target pattern's mapping space on the
-   pool, plus the predictor-vs-simulator calibration loop ----- *)
-
-let cmd_sweep name engine sim_jobs (opts : Ppat_codegen.Lower.options) jobs
-    budget json =
-  let app = find_app name in
-  let data = A.App.input_data app in
-  let base, tpid, tlabel, tc, cands, dupes = target_space app in
-  let n = Array.length cands in
-  (* rank the whole population under a model; [calib] re-ranks after the
-     calibration fit (a positive-gain affine map must not change ranks —
-     the gate below holds the loop to that) *)
-  let rank_of ?calib model =
-    let evals, order =
-      Cost_model.rank ?calib ~shuffle:opts.shuffle model dev tc cands
-    in
-    let pos = Array.make n 0 in
-    Array.iteri (fun rank i -> pos.(i) <- rank) order;
-    (evals, order, pos)
-  in
-  let rankings = List.map (fun m -> (m, rank_of m)) Cost_model.all in
-  (* active learning: the simulation budget goes to the candidates whose
-     rank the models disagree on most, plus each model's incumbent *)
-  let disagreement =
-    Ppat_core.Sweep.rank_disagreement
-      (List.map (fun (_, (_, _, pos)) -> pos) rankings)
-      n
-  in
-  let incumbents = List.map (fun (_, (_, order, _)) -> order.(0)) rankings in
-  let budget = if budget <= 0 then n else budget in
-  let chosen =
-    Ppat_core.Sweep.select ~budget ~always:incumbents disagreement
-  in
-  let sel = Array.of_list chosen in
-  Format.printf
-    "sweep %s: target %S, %d unique candidates (%d duplicate(s) dropped), \
-     evaluating %d (budget %d)@."
-    name tlabel n dupes (Array.length sel) budget;
-  (* evaluate the selection on this process's pool *)
-  let results, counts =
-    Ppat_harness.Runner.sweep_mapped ~engine ~sim_jobs ~jobs ~opts
-      ~params:app.params dev app.prog ~target_pid:tpid ~base
-      (Array.map (fun i -> cands.(i)) sel)
-      data
-  in
-  let share =
-    if counts.sw_wall_seconds > 0. then
-      counts.sw_stage_seconds /. counts.sw_wall_seconds
-    else 0.
-  in
-  Format.printf
-    "  %d shape(s), %d failed; staging %.3fs of %.3fs wall (share %.1f%%)@."
-    counts.sw_shapes counts.sw_failed counts.sw_stage_seconds
-    counts.sw_wall_seconds (100. *. share);
-  (* ground truth: simulated model seconds of the target pattern, keyed
-     by population index *)
-  let sim = Hashtbl.create 32 in
-  Array.iteri
-    (fun si (c : Ppat_harness.Runner.sweep_candidate) ->
-      match (c.sc_result, c.sc_target_seconds) with
-      | Ok _, Some s -> Hashtbl.replace sim sel.(si) s
-      | _ -> ())
-    results;
-  let simulated =
-    Hashtbl.fold (fun i s acc -> (i, s) :: acc) sim []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  if List.length simulated < 2 then begin
-    Format.eprintf "only %d candidate(s) simulated; nothing to calibrate@."
-      (List.length simulated);
-    exit 1
-  end;
-  let best_sim =
-    List.fold_left (fun a (_, s) -> min a s) infinity simulated
-  in
-  let sim_arr = Array.of_list (List.map snd simulated) in
-  (* calibration sample: the analytical predictor's cycles against the
-     simulated seconds of the same candidates *)
-  let a_evals, _, _ = List.assoc Cost_model.Analytical rankings in
-  let pairs =
-    List.filter_map
-      (fun (i, s) ->
-        match a_evals.(i).Cost_model.predicted with
-        | Some p when Float.is_finite p.Ppat_core.Predict.cycles ->
-          Some (p.Ppat_core.Predict.cycles, s)
-        | _ -> None)
-      simulated
-  in
-  let calib = Ppat_core.Sweep.fit_affine pairs in
-  let mare_before = Ppat_core.Sweep.mare pairs in
-  let mare_after =
-    match calib with
-    | None -> mare_before
-    | Some cal ->
-      Ppat_core.Sweep.mare
-        (List.map (fun (c, s) -> (Cost_model.calibrate cal c, s)) pairs)
-  in
-  let stats_of (_, order, pos) =
-    let rank_arr =
-      Array.of_list
-        (List.map (fun (i, _) -> float_of_int pos.(i)) simulated)
-    in
-    let rho = Cost_model.spearman rank_arr sim_arr in
-    let top1 = order.(0) in
-    let regret =
-      match Hashtbl.find_opt sim top1 with
-      | Some s -> Ppat_core.Sweep.regret ~best:best_sim s
-      | None -> nan
-    in
-    (rho, regret, top1)
-  in
-  let report =
-    List.map
-      (fun (model, pre) ->
-        let rho0, reg0, _ = stats_of pre in
-        let post =
-          match calib with
-          | Some cal -> rank_of ~calib:cal model
-          | None -> pre
-        in
-        let rho1, reg1, top1 = stats_of post in
-        (model, rho0, reg0, rho1, reg1, top1))
-      rankings
-  in
-  let fnum x = if Float.is_nan x then "n/a" else Printf.sprintf "%.3f" x in
-  let fpct x =
-    if Float.is_nan x then "n/a" else Printf.sprintf "%.1f%%" (100. *. x)
-  in
-  Format.printf "  %-12s %-17s %-17s selected mapping@." "model"
-    "spearman pre/post" "regret pre/post";
-  List.iter
-    (fun (model, rho0, reg0, rho1, reg1, top1) ->
-      Format.printf "  %-12s %-17s %-17s %s@." (Cost_model.name model)
-        (Printf.sprintf "%s / %s" (fnum rho0) (fnum rho1))
-        (Printf.sprintf "%s / %s" (fpct reg0) (fpct reg1))
-        (Ppat_core.Mapping.to_string cands.(top1)))
-    report;
-  (match calib with
-   | Some c ->
-     Format.printf
-       "  calibration over %d pair(s): seconds ~ %.4g * cycles + %.4g; \
-        MARE %s -> %s@."
-       (List.length pairs) c.Cost_model.gain c.Cost_model.offset
-       (match mare_before with Some m -> fnum m | None -> "n/a")
-       (match mare_after with Some m -> fnum m | None -> "n/a")
-   | None ->
-     Format.printf
-       "  calibration: degenerate sample (%d pair(s)), identity kept@."
-       (List.length pairs));
-  (* the loop's contract: re-ranking under the calibrated predictor never
-     worsens a model's regret (affine positive gain preserves order) *)
-  List.iter
-    (fun (model, _, reg0, _, reg1, _) ->
-      if Float.is_finite reg0 && Float.is_finite reg1 && reg1 > reg0 +. 1e-9
-      then begin
-        Format.eprintf
-          "sweep: calibration worsened %s regret (%.4f -> %.4f)@."
-          (Cost_model.name model) reg0 reg1;
-        exit 1
-      end)
-    report;
-  match json with
-  | None -> ()
-  | Some f ->
-    let open Ppat_profile.Jsonx in
-    let opt_number = function None -> Null | Some x -> number x in
-    let j =
-      Obj
-        [
-          ("schema", Str "ppat-sweep/1");
-          ("app", Str name);
-          ("pattern", Str tlabel);
+          ("pattern", Str label);
           ("population", Int n);
-          ("duplicates_dropped", Int dupes);
-          ("budget", Int budget);
-          ("evaluated", Int counts.sw_candidates);
-          ("shapes", Int counts.sw_shapes);
-          ("failed", Int counts.sw_failed);
-          ("stage_seconds", number counts.sw_stage_seconds);
-          ("wall_seconds", number counts.sw_wall_seconds);
-          ("staging_share", number share);
-          ( "calibration",
-            match calib with
-            | Some c ->
-              Obj
-                [
-                  ("gain", number c.Cost_model.gain);
-                  ("offset", number c.Cost_model.offset);
-                ]
-            | None -> Null );
-          ("mare_before", opt_number mare_before);
-          ("mare_after", opt_number mare_after);
+          ("duplicates_dropped", Int ts.ts_duplicates);
+          ("top", Int top);
+          ("stride", Int (Ppat_core.Sweep.stride n));
+          ("sampled", Int st.sw_candidates);
+          ("simulated", Int (List.length r.ms_seconds));
+          ("shapes", Int st.sw_shapes);
+          ("failed", Int st.sw_failed);
+          ("stage_seconds", number st.sw_stage_seconds);
+          ("wall_seconds", number st.sw_wall_seconds);
+          ("predictor_spearman", number r.ms_predictor_spearman);
           ( "models",
             List
               (List.map
-                 (fun (model, rho0, reg0, rho1, reg1, top1) ->
+                 (fun (m : Ppat_harness.Runner.model_report) ->
                    Obj
                      [
-                       ("model", Str (Cost_model.name model));
-                       ("spearman_pre", number rho0);
-                       ("spearman_post", number rho1);
-                       ("regret_pre", number reg0);
-                       ("regret_post", number reg1);
-                       ( "selected_mapping",
-                         Str (Ppat_core.Mapping.to_string cands.(top1)) );
+                       ("model", Str (Cost_model.name m.mr_model));
+                       ("spearman", number m.mr_spearman);
+                       ("regret", number m.mr_regret);
+                       ("selected_mapping", Str (mapping m.mr_selected));
+                       ("selected_sim_seconds", opt_number (seconds_of m.mr_selected));
+                       ("selected_predicted_cycles", opt_number m.mr_selected_cycles);
                      ])
-                 report) );
-          ( "candidates",
+                 r.ms_models) );
+          ( "sample",
             List
               (Array.to_list
                  (Array.mapi
-                    (fun si (c : Ppat_harness.Runner.sweep_candidate) ->
+                    (fun k (c : Ppat_harness.Runner.sweep_candidate) ->
+                      let i = r.ms_sample.(k) in
                       Obj
-                        ([
-                           ( "mapping",
-                             Str (Ppat_core.Mapping.to_string cands.(sel.(si)))
-                           );
-                         ]
-                        @ (match c.sc_shape with
-                           | Some s -> [ ("shape", Str s) ]
-                           | None -> [])
-                        @ (match c.sc_digest with
-                           | Some d -> [ ("digest", Str d) ]
-                           | None -> [])
-                        @ (match c.sc_target_seconds with
-                           | Some s -> [ ("sim_seconds", number s) ]
-                           | None -> [])
+                        ([ ("mapping", Str (mapping i)) ]
+                        @ Option.fold ~none:[] ~some:(fun s -> [ ("shape", Str s) ]) c.sc_shape
+                        @ Option.fold ~none:[] ~some:(fun d -> [ ("digest", Str d) ]) c.sc_digest
+                        @ Option.fold ~none:[] ~some:(fun s -> [ ("sim_seconds", number s) ]) (seconds_of i)
                         @
                         match c.sc_result with
                         | Error e -> [ ("error", Str e) ]
                         | Ok _ -> []))
-                    results)) );
+                    r.ms_results)) );
         ]
     in
     to_file f j;
-    Format.printf "wrote sweep report to %s@." f
+    Format.printf "wrote mapspace report to %s@." f
 
 let cmd_cuda name opts =
   let app = find_app name in
@@ -779,9 +455,8 @@ let cmd_serve rest =
     Ppat_serve.Serve.serve_socket ?jobs:!jobs server path
   | None -> Ppat_serve.Serve.serve_stdin ?jobs:!jobs server
 
-let usage () =
-  print_endline
-    "usage: ppat <command>\n\
+let usage =
+  "usage: ppat <command>\n\
      \  list                      bundled applications\n\
      \  run APP [-s STRATEGY] [--engine E] [--cost-model M] [--sim-jobs N]\n\
      \                            simulate and validate (auto|1d|tbt|warp)\n\
@@ -795,18 +470,12 @@ let usage () =
      \                            buffer) plus the run's engine metrics\n\
      \  trace-search APP [-s STRATEGY] [--cost-model M] [--json FILE]\n\
      \                            ranked trace of the mapping search\n\
-     \  modelcmp APP [--engine E] [--top K] [--json FILE]\n\
+     \  mapspace APP [--top K] [--engine E] [--jobs N] [--sim-jobs N]\n\
+     \                            [--shuffle] [--json FILE]\n\
      \                            rank the mapping space under every cost\n\
-     \                            model; report rank correlation and regret\n\
-     \                            against the simulator\n\
-     \  sweep APP [--engine E] [--budget N] [--jobs N] [--sim-jobs N]\n\
-     \                            [--json FILE]\n\
-     \                            mapping-space sweep: simulate the selected\n\
-     \                            candidates, fit the predictor calibration\n\
-     \                            and report before/after rank quality;\n\
-     \                            --budget caps simulations (active learning\n\
-     \                            picks where the cost models disagree),\n\
-     \                            --jobs fans candidates out on the pool\n\
+     \                            model, simulate each model's top K (default\n\
+     \                            6) plus a strided sample, N at a time, and\n\
+     \                            report rank correlation and regret\n\
      \  serve [--jobs N] [--socket PATH] [--plan-cache N] [--memo-cache N]\n\
      \                            persistent mapping service: line-delimited\n\
      \                            JSON requests (schema ppat-serve/1) on stdin\n\
@@ -840,13 +509,12 @@ type flags = {
   f_top : int;
   f_sim_jobs : int;
   f_jobs : int;
-  f_budget : int;
   f_opts : Ppat_codegen.Lower.options;
 }
 
 (* the flags of [cmd], in any order; [takes] lists the ones it reads
    (["-s"; "--engine"; "--cost-model"; "--json"; "--chrome-trace";
-   "--top"; "--sim-jobs"; "--jobs"; "--budget"; "--shuffle"]) and any
+   "--top"; "--sim-jobs"; "--jobs"; "--shuffle"]) and any
    other argument is a usage error naming it *)
 let parse_flags cmd ~takes rest =
   let strat = ref Ppat_core.Strategy.Auto in
@@ -856,7 +524,6 @@ let parse_flags cmd ~takes rest =
   let top = ref 6 in
   let sim_jobs = ref (Ppat_kernel.Interp.default_jobs ()) in
   let jobs = ref (Ppat_parallel.default_jobs ()) in
-  let budget = ref 0 in
   let opts = ref (Ppat_codegen.Lower.effective_options ()) in
   let rec go = function
     | [] -> ()
@@ -893,9 +560,6 @@ let parse_flags cmd ~takes rest =
     | "--jobs" :: n :: rest ->
       jobs := jobs_flag n;
       go rest
-    | "--budget" :: n :: rest ->
-      budget := pos_int "--budget" n;
-      go rest
     | flag :: _ -> usage_error (Printf.sprintf "%s: %s needs a value" cmd flag)
   in
   go rest;
@@ -908,12 +572,14 @@ let parse_flags cmd ~takes rest =
     f_top = !top;
     f_sim_jobs = !sim_jobs;
     f_jobs = !jobs;
-    f_budget = !budget;
     f_opts = !opts;
   }
 
 (* what every simulating command reads *)
 let sim_flags = [ "-s"; "--engine"; "--cost-model"; "--sim-jobs"; "--shuffle" ]
+
+let app_commands =
+  [ "run"; "profile"; "report"; "trace-search"; "mapspace"; "cuda"; "explain" ]
 
 let main () =
   match Array.to_list Sys.argv with
@@ -939,22 +605,13 @@ let main () =
         rest
     in
     cmd_trace_search name f.f_strat f.f_model f.f_opts f.f_json
-  | _ :: "modelcmp" :: name :: rest ->
+  | _ :: "mapspace" :: name :: rest ->
     let f =
-      parse_flags "modelcmp"
-        ~takes:[ "--engine"; "--top"; "--json"; "--shuffle" ]
+      parse_flags "mapspace"
+        ~takes:[ "--top"; "--engine"; "--jobs"; "--sim-jobs"; "--shuffle"; "--json" ]
         rest
     in
-    cmd_modelcmp name f.f_engine f.f_opts f.f_top f.f_json
-  | _ :: "sweep" :: name :: rest ->
-    let f =
-      parse_flags "sweep"
-        ~takes:
-          [ "--engine"; "--budget"; "--jobs"; "--sim-jobs"; "--json"; "--shuffle" ]
-        rest
-    in
-    cmd_sweep name f.f_engine f.f_sim_jobs f.f_opts f.f_jobs f.f_budget
-      f.f_json
+    cmd_mapspace name f.f_engine f.f_sim_jobs f.f_opts f.f_jobs f.f_top f.f_json
   | _ :: "serve" :: rest -> cmd_serve rest
   | _ :: "racecheck" :: rest -> cmd_racecheck rest
   | _ :: "cuda" :: name :: rest ->
@@ -973,9 +630,16 @@ let main () =
     in
     let names = figures rest in
     cmd_figures ~jobs:!jobs names
+  | _ :: cmd :: _ ->
+    (* a command that needs an APP, given none, or no command at all *)
+    prerr_endline
+      (if List.mem cmd app_commands then Printf.sprintf "ppat: %s: missing APP" cmd
+       else Printf.sprintf "ppat: unknown command %S" cmd);
+    prerr_endline usage;
+    exit 2
   | _ ->
-    usage ();
-    exit 1
+    prerr_endline usage;
+    exit 2
 
 (* a malformed PPAT_* variable, read wherever a command first needs it,
    is a usage error naming the variable *)

@@ -6,8 +6,8 @@ let name = function
   | Hybrid -> "hybrid"
 
 let of_string = function
-  | "soft" | "weights" | "soft_weights" -> Ok Soft
-  | "analytical" | "timing" | "predict" -> Ok Analytical
+  | "soft" -> Ok Soft
+  | "analytical" -> Ok Analytical
   | "hybrid" -> Ok Hybrid
   | s ->
     Error (Printf.sprintf "unknown cost model %S (soft|analytical|hybrid)" s)
@@ -38,21 +38,7 @@ let block_proximity m =
   let tpb = Mapping.threads_per_block m in
   abs (int_of_float (Float.round (Float.log2 (float_of_int tpb))) - 8)
 
-(* ----- affine calibration of predicted cycles -----
-
-   The sweep evaluator fits, per app, a least-squares affine map from
-   predicted cycles to simulated seconds and threads it through here.
-   [gain] is always positive (the fitter rejects non-monotone fits), so
-   calibrating never reorders an [Analytical]/[Hybrid] ranking — it
-   corrects the predictor's absolute scale, which is what the regret
-   loop measures before/after. *)
-
-type calibration = { gain : float; offset : float }
-
-let no_calibration = { gain = 1.; offset = 0. }
-let calibrate calib cycles = (calib.gain *. cycles) +. calib.offset
-
-let evaluate ?(calib = no_calibration) ?shuffle kind dev (c : Collect.t) m =
+let evaluate ?shuffle kind dev (c : Collect.t) m =
   let score = Score.score dev c.softs m in
   let dop = float_of_int (Mapping.dop ~sizes:c.level_sizes m) in
   let prox = -.float_of_int (block_proximity m) in
@@ -64,14 +50,14 @@ let evaluate ?(calib = no_calibration) ?shuffle kind dev (c : Collect.t) m =
     {
       soft_score = score;
       predicted = Some p;
-      key = [| -.calibrate calib p.Predict.cycles; score; dop; prox |];
+      key = [| -.p.Predict.cycles; score; dop; prox |];
     }
   | Hybrid ->
     let p = Predict.predict ?shuffle dev c m in
     {
       soft_score = score;
       predicted = Some p;
-      key = [| score; -.calibrate calib p.Predict.cycles; dop; prox |];
+      key = [| score; -.p.Predict.cycles; dop; prox |];
     }
 
 let better a b =
@@ -84,8 +70,8 @@ let better a b =
   in
   go 0
 
-let rank ?calib ?shuffle kind dev c cands =
-  let evals = Array.map (evaluate ?calib ?shuffle kind dev c) cands in
+let rank ?shuffle kind dev c cands =
+  let evals = Array.map (evaluate ?shuffle kind dev c) cands in
   let order = Array.init (Array.length cands) Fun.id in
   (* polymorphic compare on two keys is descending-lexicographic here *)
   Array.stable_sort (fun i j -> compare evals.(j).key evals.(i).key) order;

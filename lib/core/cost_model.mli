@@ -47,30 +47,15 @@ type eval = {
       (** descending-lexicographic ranking key; {!better} compares these *)
 }
 
-type calibration = { gain : float; offset : float }
-(** Affine correction of predicted cycles, fitted per app by the sweep
-    evaluator's active-learning pass ({!Sweep.fit_affine}) against
-    simulated seconds. [gain] is positive by construction, so applying a
-    calibration never reorders a ranking — it fixes the predictor's
-    absolute scale. *)
-
-val no_calibration : calibration
-(** [gain = 1, offset = 0]: predicted cycles pass through unchanged. *)
-
-val calibrate : calibration -> float -> float
-(** [calibrate c cycles = c.gain *. cycles +. c.offset]. *)
-
 val evaluate :
-  ?calib:calibration -> ?shuffle:bool -> kind -> Ppat_gpu.Device.t ->
+  ?shuffle:bool -> kind -> Ppat_gpu.Device.t ->
   Collect.t -> Mapping.t -> eval
 (** Evaluate one candidate. For [Soft] the key is
     [(score, dop, -block-size-proximity)] — comparing keys reproduces
     the historical comparison exactly, including its float-equality tie
     semantics. [Analytical] keys lead with [-predicted cycles]; [Hybrid]
     keys lead with the score and break ties with [-predicted cycles].
-    [calib] (default {!no_calibration}) rescales the predicted cycles
-    entering the key; [Soft] ignores it, as it does [shuffle] (for
-    {!Predict.predict}). *)
+    [Soft] ignores [shuffle] (for {!Predict.predict}). *)
 
 val better : eval -> eval -> bool
 (** [better challenger incumbent]: strict descending-lexicographic
@@ -78,7 +63,6 @@ val better : eval -> eval -> bool
     first-wins determinism of the enumeration order. *)
 
 val rank :
-  ?calib:calibration ->
   ?shuffle:bool ->
   kind ->
   Ppat_gpu.Device.t ->
@@ -92,5 +76,5 @@ val rank :
 val spearman : float array -> float array -> float
 (** Spearman rank correlation between two paired samples (average ranks
     on ties, Pearson over the ranks). Returns [nan] for samples shorter
-    than 2 or with zero rank variance. Used by [ppat modelcmp] and the
-    predictor tests. *)
+    than 2 or with zero rank variance. Used by the mapping-space report
+    ([Runner.mapspace], [ppat mapspace]) and the predictor tests. *)

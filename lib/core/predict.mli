@@ -17,7 +17,7 @@
     what matters is that the mapping-dependent factors — coalescing,
     occupancy, serialisation, dispatch overhead — move the prediction
     the same way they move the simulator, so candidate {e rankings}
-    agree ([ppat modelcmp] measures exactly that). *)
+    agree ([ppat mapspace] measures exactly that). *)
 
 type access_est = {
   ae_buf : string;  (** buffer the access analysis attributed it to *)

@@ -62,7 +62,7 @@ val enumerate :
   (Mapping.t * Cost_model.eval) list
 (** Every hard-feasible candidate with its evaluation under [model],
     before DOP control — the mapping-space scatter of paper Figure 17 and
-    the input to [ppat modelcmp]. Consumes the same candidate generator
+    the input to [ppat mapspace]. Consumes the same candidate generator
     as {!search} with the same evaluator, so scores cannot drift. *)
 
 val hard_violations : Ppat_gpu.Device.t -> Mapping.t -> string list

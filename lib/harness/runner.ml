@@ -488,6 +488,7 @@ let check ?(eps = 1e-6) ?(unordered = []) ?only (prog : Pat.prog) ~expected
    the staging walk; shape keys are reported, not acted on ----- *)
 
 module Sweep = Ppat_core.Sweep
+module Cost_model = Ppat_core.Cost_model
 
 let sweep_candidates_evaluated =
   Ppat_metrics.Metrics.counter "sweep.candidates_evaluated"
@@ -667,7 +668,7 @@ let target_space ?(params = []) dev (prog : Pat.prog) =
     List.map
       (fun ((n : Pat.nested), c) ->
         ( n.pat.Pat.pid,
-          (Strategy.decide ~model:Ppat_core.Cost_model.Soft dev c Strategy.Auto)
+          (Strategy.decide ~model:Cost_model.Soft dev c Strategy.Auto)
             .Strategy.mapping ))
       pats
   in
@@ -677,7 +678,7 @@ let target_space ?(params = []) dev (prog : Pat.prog) =
       (fun ((_, best) as acc) (p, c) ->
         let ms =
           List.map fst
-            (Ppat_core.Search.enumerate ~model:Ppat_core.Cost_model.Soft dev c)
+            (Ppat_core.Search.enumerate ~model:Cost_model.Soft dev c)
         in
         if List.length ms > List.length best then ((p, c), ms) else acc)
       (List.hd pats, []) pats
@@ -703,3 +704,109 @@ let target_space ?(params = []) dev (prog : Pat.prog) =
     ts_candidates = Array.of_list unique;
     ts_duplicates = List.length cands - List.length unique;
   }
+
+(* ----- mapping-space report: how well each cost model's ranking of the
+   target space agrees with the simulator (Fig 17, Section VI-G) ----- *)
+
+type model_report = {
+  mr_model : Cost_model.kind;
+  mr_spearman : float;
+  mr_regret : float;
+  mr_selected : int;
+  mr_selected_cycles : float option;
+}
+
+type mapspace = {
+  ms_space : target_space;
+  ms_sample : int array;
+  ms_results : sweep_candidate array;
+  ms_stats : sweep_stats;
+  ms_seconds : (int * float) list;
+  ms_models : model_report list;
+  ms_predictor_spearman : float;
+}
+
+let mapspace ?engine ?sim_jobs ?jobs ?(opts = Lower.effective_options ())
+    ?(params = []) ~top dev prog data =
+  let ts = target_space ~params dev prog in
+  let cands = ts.ts_candidates in
+  let n = Array.length cands in
+  if n = 0 then
+    Error
+      (Printf.sprintf "no hard-feasible candidate mappings for %s"
+         ts.ts_target.pat.Pat.label)
+  else begin
+    let rankings =
+      List.map
+        (fun m ->
+          (m, Cost_model.rank ~shuffle:opts.shuffle m dev ts.ts_collect cands))
+        Cost_model.all
+    in
+    let sample =
+      Array.of_list
+        (Sweep.sample ~top (List.map (fun (_, (_, order)) -> order) rankings) n)
+    in
+    let results, stats =
+      sweep_mapped ?engine ?sim_jobs ?jobs ~opts ~params dev prog
+        ~target_pid:ts.ts_target.pat.Pat.pid ~base:ts.ts_base
+        (Array.map (fun i -> cands.(i)) sample)
+        data
+    in
+    (* ground truth: simulated seconds of the target pattern's launches,
+       by population index, ascending *)
+    let seconds =
+      List.concat
+        (List.mapi
+           (fun k c ->
+             match (c.sc_result, c.sc_target_seconds) with
+             | Ok _, Some s -> [ (sample.(k), s) ]
+             | _ -> [])
+           (Array.to_list results))
+    in
+    let simulated = List.length seconds in
+    if simulated < 2 then
+      Error
+        (Printf.sprintf
+           "only %d candidate(s) could be simulated; nothing to compare"
+           simulated)
+    else begin
+      let best = List.fold_left (fun a (_, s) -> Float.min a s) infinity seconds in
+      let secs = Array.of_list (List.map snd seconds) in
+      let over_sample f = Array.of_list (List.map (fun (i, _) -> f i) seconds) in
+      let cycles (e : Cost_model.eval) =
+        Option.map (fun (p : Ppat_core.Predict.t) -> p.cycles) e.predicted
+      in
+      let report (model, ((evals : Cost_model.eval array), order)) =
+        let pos = Array.make n 0 in
+        Array.iteri (fun rank i -> pos.(i) <- rank) order;
+        let top1 = order.(0) in
+        {
+          mr_model = model;
+          mr_spearman =
+            Cost_model.spearman (over_sample (fun i -> float_of_int pos.(i))) secs;
+          mr_regret =
+            Sweep.regret ~best
+              (Option.value ~default:nan (List.assoc_opt top1 seconds));
+          mr_selected = top1;
+          mr_selected_cycles = cycles evals.(top1);
+        }
+      in
+      (* the static predictor's cycles against simulated seconds,
+         independent of any ranking tie-breaks *)
+      let a_evals, _ = List.assoc Cost_model.Analytical rankings in
+      Ok
+        {
+          ms_space = ts;
+          ms_sample = sample;
+          ms_results = results;
+          ms_stats = stats;
+          ms_seconds = seconds;
+          ms_models = List.map report rankings;
+          ms_predictor_spearman =
+            Cost_model.spearman
+              (over_sample (fun i ->
+                   Option.value ~default:nan (cycles a_evals.(i))))
+              secs;
+        }
+    end
+  end

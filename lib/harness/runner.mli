@@ -255,5 +255,58 @@ val target_space :
 (** The candidate space a mapping-space sweep evaluates: vary the target
     pattern over [ts_candidates] while every other pattern keeps its
     [ts_base] mapping ({!sweep_mapped}'s [~target_pid] and [~base]). Used
-    by [ppat modelcmp] and [ppat sweep]. Raises [Invalid_argument] when
-    the program has no launches. *)
+    by {!mapspace}. Raises [Invalid_argument] when the program has no
+    launches. *)
+
+(** {2 Mapping-space reports}
+
+    How well does each cost model rank the mappings the simulator times?
+    (The paper's Fig 17 and Section VI-G.) One rule answers it: rank the
+    {!target_space} under every {!Ppat_core.Cost_model.kind}, simulate
+    the union of each model's top-k and a strided sample
+    ({!Ppat_core.Sweep.sample}) through {!sweep_mapped}, and compare.
+    [ppat mapspace] prints this report; a tier-1 table pins it. *)
+
+type model_report = {
+  mr_model : Ppat_core.Cost_model.kind;
+  mr_spearman : float;
+      (** Spearman rho of the model's rank positions against simulated
+          seconds over the simulated sample; [nan] when undefined *)
+  mr_regret : float;
+      (** {!Ppat_core.Sweep.regret} of the model's pick over the best
+          simulated mapping; [nan] when the pick failed to simulate *)
+  mr_selected : int;  (** population index of the model's pick *)
+  mr_selected_cycles : float option;
+      (** the pick's predicted cycles, when the model consults the
+          predictor *)
+}
+
+type mapspace = {
+  ms_space : target_space;
+  ms_sample : int array;  (** population indices simulated, ascending *)
+  ms_results : sweep_candidate array;  (** one per [ms_sample] entry *)
+  ms_stats : sweep_stats;
+  ms_seconds : (int * float) list;
+      (** population index and target seconds of every successful
+          simulation, ascending by index *)
+  ms_models : model_report list;  (** in {!Ppat_core.Cost_model.all} order *)
+  ms_predictor_spearman : float;
+      (** the analytical predictor's cycles against simulated seconds *)
+}
+
+val mapspace :
+  ?engine:Ppat_kernel.Interp.engine ->
+  ?sim_jobs:int ->
+  ?jobs:int ->
+  ?opts:Ppat_codegen.Lower.options ->
+  ?params:(string * int) list ->
+  top:int ->
+  Ppat_gpu.Device.t ->
+  Ppat_ir.Pat.prog ->
+  Ppat_ir.Host.data ->
+  (mapspace, string) result
+(** The mapping-space report of [prog] with [top] candidates per model.
+    [engine], [sim_jobs], [jobs] and [opts] are {!sweep_mapped}'s; [opts]
+    also carries the [shuffle] bit the rankings price. [Error] names why
+    nothing can be compared: an empty target space or fewer than two
+    successful simulations. *)

@@ -212,6 +212,20 @@ let test_names_round_trip () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "bogus name accepted")
 
+(* the undocumented aliases (weights, soft_weights, timing, predict) are
+   gone: each is an error naming the value and the accepted names *)
+let test_retired_aliases () =
+  List.iter
+    (fun alias ->
+      match Cost_model.of_string alias with
+      | Ok m -> Alcotest.failf "%S accepted as %s" alias (Cost_model.name m)
+      | Error e ->
+        Alcotest.(check bool) (alias ^ " named") true
+          (Astring_like.contains e (Printf.sprintf "%S" alias));
+        Alcotest.(check bool) (alias ^ " lists the models") true
+          (Astring_like.contains e "soft|analytical|hybrid"))
+    [ "weights"; "soft_weights"; "timing"; "predict" ]
+
 let test_spearman () =
   let check msg expect a b =
     Alcotest.(check (float 1e-9)) msg expect
@@ -234,5 +248,7 @@ let tests =
     Alcotest.test_case "no model selects hard-infeasible" `Quick
       test_models_feasible;
     Alcotest.test_case "model names round-trip" `Quick test_names_round_trip;
+    Alcotest.test_case "retired aliases are named errors" `Quick
+      test_retired_aliases;
     Alcotest.test_case "spearman rank correlation" `Quick test_spearman;
   ]

@@ -122,82 +122,29 @@ let pins =
 (* the pinned values are printed to six places *)
 let close = Alcotest.float 1e-6
 
-(* the table's quantities for one app: the union of every model's top-6
-   and a stride-(n/12) sample of the population, simulated on the pool *)
+(* the table's quantities for one app, from the mapping-space report *)
 let measure (app : A.App.t) =
-  let opts = Ppat_codegen.Lower.default_options in
-  let data = A.App.input_data app in
-  let ts = Runner.target_space ~params:app.params dev app.prog in
-  let cands = ts.ts_candidates in
-  let n = Array.length cands in
-  let rankings =
-    List.map
-      (fun m -> (m, Cost_model.rank ~shuffle:opts.shuffle m dev ts.ts_collect cands))
-      Cost_model.all
-  in
-  let sample = Hashtbl.create 32 in
-  List.iter
-    (fun (_, (_, order)) ->
-      Array.iteri (fun r i -> if r < 6 then Hashtbl.replace sample i ()) order)
-    rankings;
-  let stride = max 1 (n / 12) in
-  let i = ref 0 in
-  while !i < n do
-    Hashtbl.replace sample !i ();
-    i := !i + stride
-  done;
-  let sel =
-    Array.of_list (List.sort compare (Hashtbl.fold (fun i () a -> i :: a) sample []))
-  in
-  let results, _ =
-    Runner.sweep_mapped ~engine:Ppat_kernel.Interp.Compiled ~sim_jobs:1 ~jobs:2
-      ~opts ~params:app.params dev app.prog
-      ~target_pid:ts.ts_target.pat.Ppat_ir.Pat.pid ~base:ts.ts_base
-      (Array.map (fun i -> cands.(i)) sel)
-      data
-  in
-  let simulated =
-    List.filter_map Fun.id
-      (List.mapi
-         (fun k (c : Runner.sweep_candidate) ->
-           match (c.sc_result, c.sc_target_seconds) with
-           | Ok _, Some s -> Some (sel.(k), s)
-           | _ -> None)
-         (Array.to_list results))
-  in
-  let best = List.fold_left (fun a (_, s) -> min a s) infinity simulated in
-  let secs = Array.of_list (List.map snd simulated) in
-  let _, (a_evals, _) = List.find (fun (m, _) -> m = Cost_model.Analytical) rankings in
-  let predictor_rho =
-    Cost_model.spearman
-      (Array.of_list
-         (List.map
-            (fun (i, _) ->
-              match a_evals.(i).Cost_model.predicted with
-              | Some p -> p.Ppat_core.Predict.cycles
-              | None -> nan)
-            simulated))
-      secs
-  in
-  let models =
-    List.map
-      (fun (m, (_, order)) ->
-        let pos = Array.make n 0 in
-        Array.iteri (fun r i -> pos.(i) <- r) order;
-        let rho =
-          Cost_model.spearman
-            (Array.of_list (List.map (fun (i, _) -> float_of_int pos.(i)) simulated))
-            secs
-        in
-        let top1 = order.(0) in
-        let s = Option.value ~default:nan (List.assoc_opt top1 simulated) in
-        ( m,
-          Ppat_core.Mapping.to_string cands.(top1),
-          Ppat_core.Sweep.regret ~best s,
-          rho ))
-      rankings
-  in
-  { app = ""; population = n; simulated = List.length simulated; predictor_rho; models }
+  match
+    Runner.mapspace ~engine:Ppat_kernel.Interp.Compiled ~sim_jobs:1 ~jobs:2
+      ~opts:Ppat_codegen.Lower.default_options ~params:app.params ~top:6 dev
+      app.prog (A.App.input_data app)
+  with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    {
+      app = "";
+      population = Array.length r.ms_space.ts_candidates;
+      simulated = List.length r.ms_seconds;
+      predictor_rho = r.ms_predictor_spearman;
+      models =
+        List.map
+          (fun (m : Runner.model_report) ->
+            ( m.mr_model,
+              Ppat_core.Mapping.to_string r.ms_space.ts_candidates.(m.mr_selected),
+              m.mr_regret,
+              m.mr_spearman ))
+          r.ms_models;
+    }
 
 let test_pinned () =
   List.iter

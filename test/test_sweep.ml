@@ -1,9 +1,10 @@
 (* The mapping-space evaluator: per-candidate bit-identity against the
    one-at-a-time path (both engines, serial and parallel simulation and
-   pool), its evaluation counts, the calibration loop's
-   monotonicity, the pure Sweep helpers, the Jsonx non-finite guard, the
-   fail-fast PPAT_* environment parsing and the strategy / engine value
-   parsers the CLI and the service share. *)
+   pool), its evaluation counts, the pure Sweep helpers (shape grouping,
+   the mapping-space sample rule, regret), the Jsonx non-finite guard,
+   the fail-fast PPAT_* environment parsing and the strategy / engine
+   value parsers the CLI and the service share. The mapping-space
+   report's pinned per-model table is in test_mapspace.ml. *)
 open Ppat_ir
 module Runner = Ppat_harness.Runner
 module Sweep = Ppat_core.Sweep
@@ -130,75 +131,6 @@ let test_sweep_counts () =
   Alcotest.(check int) "successes + failed = population"
     (Array.length cands) (ok + stats.sw_failed)
 
-(* ----- calibration: a positive-gain affine fit never reorders the
-   analytical/hybrid rankings, so regret is unchanged, while the absolute
-   scale error shrinks ----- *)
-
-let test_calibration_monotone () =
-  let app = Ppat_apps.Sum_rows_cols.sum_rows ~r:48 ~c:24 () in
-  let data = Ppat_apps.App.input_data app in
-  let tpid, col, cands = space app in
-  let cands = take 24 cands in
-  let results, _ =
-    Runner.sweep_mapped ~params:app.params dev app.prog ~target_pid:tpid
-      ~base:[] cands data
-  in
-  let seconds =
-    Array.map
-      (fun (c : Runner.sweep_candidate) ->
-        Option.get c.sc_target_seconds)
-      results
-  in
-  let best = Array.fold_left min infinity seconds in
-  let pairs =
-    Array.to_list
-      (Array.mapi
-         (fun i m ->
-           match
-             (Cost_model.evaluate Cost_model.Analytical dev col m)
-               .Cost_model.predicted
-           with
-           | Some p -> (p.Ppat_core.Predict.cycles, seconds.(i))
-           | None -> Alcotest.fail "analytical eval lost its prediction")
-         cands)
-  in
-  let calib =
-    match Sweep.fit_affine pairs with
-    | Some c -> c
-    | None -> Alcotest.fail "calibration degenerate on a spread sample"
-  in
-  Alcotest.(check bool) "gain positive" true (calib.Cost_model.gain > 0.);
-  List.iter
-    (fun model ->
-      let order calib =
-        Array.to_list (snd (Cost_model.rank ?calib model dev col cands))
-      in
-      let pre = order None and post = order (Some calib) in
-      Alcotest.(check (list int))
-        (Cost_model.name model ^ " ranking unchanged by calibration")
-        pre post;
-      let regret_of o =
-        Sweep.regret ~best seconds.(List.hd o)
-      in
-      Alcotest.(check bool)
-        (Cost_model.name model ^ " regret not worsened")
-        true
-        (regret_of post <= regret_of pre +. 1e-12))
-    Cost_model.[ Analytical; Hybrid ];
-  (* the calibrated predictor is closer in absolute terms *)
-  let mare_before = Option.get (Sweep.mare pairs) in
-  let mare_after =
-    Option.get
-      (Sweep.mare
-         (List.map
-            (fun (c, s) -> (Cost_model.calibrate calib c, s))
-            pairs))
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "MARE improved (%.3g -> %.3g)" mare_before mare_after)
-    true
-    (mare_after < mare_before)
-
 (* ----- pure Sweep helpers ----- *)
 
 let test_group_by () =
@@ -214,47 +146,29 @@ let test_group_by () =
     [ ("a", [ 0; 3 ]); ("b", [ 1; 4 ]) ]
     (Sweep.group_by ~key 5)
 
-let test_rank_disagreement () =
-  let d =
-    Sweep.rank_disagreement [ [| 0; 1; 2 |]; [| 2; 1; 0 |]; [| 1; 1; 1 |] ] 3
-  in
-  Alcotest.(check (array (float 1e-9))) "max pairwise rank diff"
-    [| 2.; 0.; 2. |] d
+(* the sample rule: each ranking's top [top], plus every [stride n]-th
+   index, ascending and once each *)
+let test_sample () =
+  let sample = Alcotest.(list int) in
+  Alcotest.(check int) "stride of 100" 8 (Sweep.stride 100);
+  Alcotest.(check int) "stride of a small space" 1 (Sweep.stride 11);
+  Alcotest.(check sample) "union of top-k and stride, ascending, deduped"
+    [ 0; 3; 8; 15; 16; 24; 32; 40; 48; 50; 56; 64; 72; 80; 88; 96; 99 ]
+    (Sweep.sample ~top:2 [ [| 99; 3; 1 |]; [| 15; 99 |]; [| 50; 16; 8 |] ] 100);
+  Alcotest.(check sample) "stride 1 on a small space takes everything"
+    [ 0; 1; 2; 3; 4 ]
+    (Sweep.sample ~top:1 [ [| 4; 0; 1; 2; 3 |] ] 5);
+  Alcotest.(check sample) "k >= n" (List.init 30 Fun.id)
+    (Sweep.sample ~top:99 [ Array.init 30 (fun i -> 29 - i) ] 30);
+  Alcotest.(check sample) "no rankings: the stride alone"
+    (List.init 15 (fun i -> 2 * i))
+    (Sweep.sample ~top:6 [] 30);
+  Alcotest.(check sample) "empty space" [] (Sweep.sample ~top:6 [] 0)
 
-let test_select () =
-  let d = [| 5.; 1.; 5.; 3.; 0. |] in
-  (* ties break to the lower index; [always] survives any budget *)
-  Alcotest.(check (list int)) "budget 2" [ 0; 2 ]
-    (Sweep.select ~budget:2 ~always:[] d);
-  Alcotest.(check (list int)) "always + fill" [ 0; 2; 4 ]
-    (Sweep.select ~budget:3 ~always:[ 4 ] d);
-  Alcotest.(check (list int)) "budget beyond population" [ 0; 1; 2; 3; 4 ]
-    (Sweep.select ~budget:99 ~always:[] d);
-  Alcotest.(check (list int)) "out-of-range always ignored" [ 0 ]
-    (Sweep.select ~budget:1 ~always:[ -3; 17 ] d)
-
-let test_fit_affine () =
-  (* exact recovery of a positive-gain line *)
-  let pairs = List.map (fun x -> (x, (2.5 *. x) +. 7.)) [ 1.; 2.; 5.; 9. ] in
-  (match Sweep.fit_affine pairs with
-   | Some c ->
-     Alcotest.(check (float 1e-9)) "gain" 2.5 c.Cost_model.gain;
-     Alcotest.(check (float 1e-9)) "offset" 7. c.Cost_model.offset
-   | None -> Alcotest.fail "fit on a perfect line");
-  Alcotest.(check bool) "too few points" true
-    (Sweep.fit_affine [ (1., 2.) ] = None);
-  Alcotest.(check bool) "zero variance" true
-    (Sweep.fit_affine [ (3., 1.); (3., 2.) ] = None);
-  Alcotest.(check bool) "negative gain rejected" true
-    (Sweep.fit_affine [ (1., 9.); (2., 5.); (3., 1.) ] = None)
-
-let test_regret_mare () =
+let test_regret () =
   Alcotest.(check (float 1e-9)) "regret" 0.5 (Sweep.regret ~best:2. 3.);
   Alcotest.(check (float 1e-9)) "regret degenerate best" 0.
-    (Sweep.regret ~best:0. 3.);
-  Alcotest.(check bool) "mare skips unusable pairs" true
-    (Sweep.mare [ (1., 0.); (nan, 2.); (3., 2.) ] = Some 0.5);
-  Alcotest.(check bool) "mare of nothing" true (Sweep.mare [] = None)
+    (Sweep.regret ~best:0. 3.)
 
 (* ----- Jsonx: non-finite floats can never serialise unescaped ----- *)
 
@@ -401,13 +315,9 @@ let tests =
     QCheck_alcotest.to_alcotest prop_random_bit_identity;
     Alcotest.test_case "candidate, shape and failure counts" `Quick
       test_sweep_counts;
-    Alcotest.test_case "calibration monotone, MARE improves" `Quick
-      test_calibration_monotone;
     Alcotest.test_case "group_by" `Quick test_group_by;
-    Alcotest.test_case "rank_disagreement" `Quick test_rank_disagreement;
-    Alcotest.test_case "select" `Quick test_select;
-    Alcotest.test_case "fit_affine" `Quick test_fit_affine;
-    Alcotest.test_case "regret and mare" `Quick test_regret_mare;
+    Alcotest.test_case "mapspace sample rule" `Quick test_sample;
+    Alcotest.test_case "regret and mare" `Quick test_regret;
     Alcotest.test_case "jsonx non-finite guard" `Quick test_jsonx_nonfinite;
     Alcotest.test_case "env parsers" `Quick test_env_parsers;
     Alcotest.test_case "strategy and engine parsers" `Quick
