@@ -231,10 +231,8 @@ let cmd_mapspace name engine sim_jobs (opts : Ppat_codegen.Lower.options) jobs
      sample)@."
     name label n ts.ts_duplicates (List.length r.ms_seconds) top
     (Ppat_core.Sweep.stride n);
-  Format.printf
-    "  %d sampled, %d shape(s), %d failed; staging %.3fs of %.3fs wall@."
-    st.sw_candidates st.sw_shapes st.sw_failed st.sw_stage_seconds
-    st.sw_wall_seconds;
+  Format.printf "  %d sampled, %d shape(s), %d failed in %.3fs@."
+    st.sw_candidates st.sw_shapes st.sw_failed st.sw_wall_seconds;
   Format.printf "  %-12s %-9s %-8s selected mapping@." "model" "spearman"
     "regret";
   List.iter
@@ -257,7 +255,7 @@ let cmd_mapspace name engine sim_jobs (opts : Ppat_codegen.Lower.options) jobs
        rankings and regret on a pick that failed to simulate — both must
        reach the file as explicit nulls, never as invalid tokens *)
     let opt_number = function Some x -> number x | None -> Null in
-    let seconds_of i = List.assoc_opt i r.ms_seconds in
+    let field k f = Option.fold ~none:[] ~some:(fun v -> [ (k, f v) ]) in
     let j =
       Obj
         [
@@ -272,7 +270,6 @@ let cmd_mapspace name engine sim_jobs (opts : Ppat_codegen.Lower.options) jobs
           ("simulated", Int (List.length r.ms_seconds));
           ("shapes", Int st.sw_shapes);
           ("failed", Int st.sw_failed);
-          ("stage_seconds", number st.sw_stage_seconds);
           ("wall_seconds", number st.sw_wall_seconds);
           ("predictor_spearman", number r.ms_predictor_spearman);
           ( "models",
@@ -285,8 +282,10 @@ let cmd_mapspace name engine sim_jobs (opts : Ppat_codegen.Lower.options) jobs
                        ("spearman", number m.mr_spearman);
                        ("regret", number m.mr_regret);
                        ("selected_mapping", Str (mapping m.mr_selected));
-                       ("selected_sim_seconds", opt_number (seconds_of m.mr_selected));
-                       ("selected_predicted_cycles", opt_number m.mr_selected_cycles);
+                       ( "selected_sim_seconds",
+                         opt_number (List.assoc_opt m.mr_selected r.ms_seconds) );
+                       ( "selected_predicted_cycles",
+                         opt_number m.mr_selected_cycles );
                      ])
                  r.ms_models) );
           ( "sample",
@@ -294,12 +293,11 @@ let cmd_mapspace name engine sim_jobs (opts : Ppat_codegen.Lower.options) jobs
               (Array.to_list
                  (Array.mapi
                     (fun k (c : Ppat_harness.Runner.sweep_candidate) ->
-                      let i = r.ms_sample.(k) in
                       Obj
-                        ([ ("mapping", Str (mapping i)) ]
-                        @ Option.fold ~none:[] ~some:(fun s -> [ ("shape", Str s) ]) c.sc_shape
-                        @ Option.fold ~none:[] ~some:(fun d -> [ ("digest", Str d) ]) c.sc_digest
-                        @ Option.fold ~none:[] ~some:(fun s -> [ ("sim_seconds", number s) ]) (seconds_of i)
+                        ([ ("mapping", Str (mapping r.ms_sample.(k))) ]
+                        @ field "shape" (fun s -> Str s) c.sc_shape
+                        @ field "digest" (fun d -> Str d) c.sc_digest
+                        @ field "sim_seconds" number c.sc_target_seconds
                         @
                         match c.sc_result with
                         | Error e -> [ ("error", Str e) ]
@@ -608,7 +606,8 @@ let main () =
   | _ :: "mapspace" :: name :: rest ->
     let f =
       parse_flags "mapspace"
-        ~takes:[ "--top"; "--engine"; "--jobs"; "--sim-jobs"; "--shuffle"; "--json" ]
+        ~takes:
+          [ "--top"; "--engine"; "--jobs"; "--sim-jobs"; "--shuffle"; "--json" ]
         rest
     in
     cmd_mapspace name f.f_engine f.f_sim_jobs f.f_opts f.f_jobs f.f_top f.f_json
@@ -631,9 +630,10 @@ let main () =
     let names = figures rest in
     cmd_figures ~jobs:!jobs names
   | _ :: cmd :: _ ->
-    (* a command that needs an APP, given none, or no command at all *)
+    (* an unknown command, or one that needs an APP given none *)
     prerr_endline
-      (if List.mem cmd app_commands then Printf.sprintf "ppat: %s: missing APP" cmd
+      (if List.mem cmd app_commands then
+         Printf.sprintf "ppat: %s: missing APP" cmd
        else Printf.sprintf "ppat: unknown command %S" cmd);
     prerr_endline usage;
     exit 2

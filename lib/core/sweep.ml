@@ -28,11 +28,11 @@ let group_by ~key n =
 let stride n = max 1 (n / 12)
 
 let sample ~top (orders : int array list) n =
-  let chosen = Array.make n false in
+  let chosen = Array.make n false and s = stride n in
   List.iter
     (Array.iteri (fun rank i -> if rank < top then chosen.(i) <- true))
     orders;
-  List.filter (fun i -> chosen.(i) || i mod stride n = 0) (List.init n Fun.id)
+  List.filter (fun i -> chosen.(i) || i mod s = 0) (List.init n Fun.id)
 
 (* how much slower the model's pick is than the best simulated candidate *)
 let regret ~best chosen = if best > 0. then (chosen /. best) -. 1. else 0.

@@ -4,7 +4,7 @@
     size, thread/block limits, DOP targets) and by the timing model
     (bandwidth, latency, issue rate) live here. The constants of {!k20c}
     approximate the NVIDIA Tesla K20c used in the paper's evaluation; they
-    are calibrated once against the paper's headline ratios and are not
+    are fitted once against the paper's headline ratios and are not
     tuned per benchmark. *)
 
 type t = {

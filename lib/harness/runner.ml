@@ -770,9 +770,11 @@ let mapspace ?engine ?sim_jobs ?jobs ?(opts = Lower.effective_options ())
            "only %d candidate(s) could be simulated; nothing to compare"
            simulated)
     else begin
-      let best = List.fold_left (fun a (_, s) -> Float.min a s) infinity seconds in
       let secs = Array.of_list (List.map snd seconds) in
-      let over_sample f = Array.of_list (List.map (fun (i, _) -> f i) seconds) in
+      let best = Array.fold_left Float.min infinity secs in
+      let over_sample f =
+        Array.of_list (List.map (fun (i, _) -> f i) seconds)
+      in
       let cycles (e : Cost_model.eval) =
         Option.map (fun (p : Ppat_core.Predict.t) -> p.cycles) e.predicted
       in
@@ -783,7 +785,9 @@ let mapspace ?engine ?sim_jobs ?jobs ?(opts = Lower.effective_options ())
         {
           mr_model = model;
           mr_spearman =
-            Cost_model.spearman (over_sample (fun i -> float_of_int pos.(i))) secs;
+            Cost_model.spearman
+              (over_sample (fun i -> float_of_int pos.(i)))
+              secs;
           mr_regret =
             Sweep.regret ~best
               (Option.value ~default:nan (List.assoc_opt top1 seconds));

@@ -123,7 +123,8 @@ let pins =
 let close = Alcotest.float 1e-6
 
 (* the table's quantities for one app, from the mapping-space report *)
-let measure (app : A.App.t) =
+let measure name =
+  let app : A.App.t = List.assoc name apps () in
   match
     Runner.mapspace ~engine:Ppat_kernel.Interp.Compiled ~sim_jobs:1 ~jobs:2
       ~opts:Ppat_codegen.Lower.default_options ~params:app.params ~top:6 dev
@@ -132,7 +133,7 @@ let measure (app : A.App.t) =
   | Error e -> Alcotest.fail e
   | Ok r ->
     {
-      app = "";
+      app = name;
       population = Array.length r.ms_space.ts_candidates;
       simulated = List.length r.ms_seconds;
       predictor_rho = r.ms_predictor_spearman;
@@ -140,7 +141,8 @@ let measure (app : A.App.t) =
         List.map
           (fun (m : Runner.model_report) ->
             ( m.mr_model,
-              Ppat_core.Mapping.to_string r.ms_space.ts_candidates.(m.mr_selected),
+              Ppat_core.Mapping.to_string
+                r.ms_space.ts_candidates.(m.mr_selected),
               m.mr_regret,
               m.mr_spearman ))
           r.ms_models;
@@ -149,7 +151,7 @@ let measure (app : A.App.t) =
 let test_pinned () =
   List.iter
     (fun (pin : pin) ->
-      let got = measure ((List.assoc pin.app apps) ()) in
+      let got = measure pin.app in
       let where what = Printf.sprintf "%s %s" pin.app what in
       Alcotest.(check int) (where "population") pin.population got.population;
       Alcotest.(check int) (where "simulated") pin.simulated got.simulated;
@@ -167,4 +169,7 @@ let test_pinned () =
     pins
 
 let tests =
-  [ Alcotest.test_case "pinned cost-model regret (7 sweep apps)" `Quick test_pinned ]
+  [
+    Alcotest.test_case "pinned cost-model regret (7 sweep apps)" `Quick
+      test_pinned;
+  ]

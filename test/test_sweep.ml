@@ -317,7 +317,7 @@ let tests =
       test_sweep_counts;
     Alcotest.test_case "group_by" `Quick test_group_by;
     Alcotest.test_case "mapspace sample rule" `Quick test_sample;
-    Alcotest.test_case "regret and mare" `Quick test_regret;
+    Alcotest.test_case "regret" `Quick test_regret;
     Alcotest.test_case "jsonx non-finite guard" `Quick test_jsonx_nonfinite;
     Alcotest.test_case "env parsers" `Quick test_env_parsers;
     Alcotest.test_case "strategy and engine parsers" `Quick
