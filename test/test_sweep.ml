@@ -15,10 +15,10 @@ module Q = QCheck2
 let dev = Ppat_gpu.Device.k20c
 
 (* the sweep setup every harness test shares: the target pattern's pid
-   and constraints, and the deduped hard-feasible candidates *)
+   and the deduped hard-feasible candidates *)
 let space (app : Ppat_apps.App.t) =
   let ts = Runner.target_space ~params:app.params dev app.prog in
-  (ts.ts_target.pat.Pat.pid, ts.ts_collect, ts.ts_candidates)
+  (ts.ts_target.pat.Pat.pid, ts.ts_candidates)
 
 let take k a = Array.sub a 0 (min k (Array.length a))
 
@@ -32,7 +32,7 @@ let cval name = Ppat_metrics.Metrics.value (counter name)
 let test_bit_identity () =
   let app = Ppat_apps.Sum_rows_cols.sum_rows ~r:64 ~c:32 () in
   let data = Ppat_apps.App.input_data app in
-  let tpid, _, cands = space app in
+  let tpid, cands = space app in
   let cands = take 24 cands in
   let reference = ref None in
   List.iter
@@ -82,7 +82,7 @@ let prop_random_bit_identity =
     (fun (r, c, pick) ->
       let app = Ppat_apps.Sum_rows_cols.sum_rows ~r ~c () in
       let data = Ppat_apps.App.input_data app in
-      let tpid, _, cands = space app in
+      let tpid, cands = space app in
       let n = Array.length cands in
       let pair = [| cands.(pick mod n); cands.((pick / n) mod n) |] in
       let results, _ =
@@ -105,7 +105,7 @@ let prop_random_bit_identity =
 let test_sweep_counts () =
   let app = Ppat_apps.Sum_rows_cols.sum_cols ~r:48 ~c:24 () in
   let data = Ppat_apps.App.input_data app in
-  let tpid, _, cands = space app in
+  let tpid, cands = space app in
   let evaluated0 = cval "sweep.candidates_evaluated" in
   let results, stats =
     Runner.sweep_mapped ~params:app.params dev app.prog ~target_pid:tpid
