@@ -26,15 +26,16 @@ engines: build
 	PPAT_ENGINE=reference dune exec test/main.exe -- test engine > /dev/null
 	@echo "engines: differential suite OK under both defaults"
 
-# one cheap validated run per engine and one figure on two pool domains,
-# then every unknown command or app, missing APP, unknown or misplaced flag,
-# malformed flag value, unknown figure, unwritable output path or malformed
-# PPAT_* variable must fail as a named usage error (exit 2), never as an
-# uncaught exception
+# one cheap validated run per engine and three figures on two pool domains
+# (ppat figures exits 1 if any cell fails validation), then every unknown
+# command or app, missing APP, unknown or misplaced flag, malformed flag
+# value, unknown figure, unwritable output path or malformed PPAT_*
+# variable must fail as a named usage error (exit 2), never as an uncaught
+# exception
 bench-smoke: build
 	dune exec bin/ppat.exe -- run sum_rows --engine compiled > /dev/null
 	dune exec bin/ppat.exe -- run sum_rows --engine reference > /dev/null
-	dune exec bin/ppat.exe -- figures fig3 --jobs 2 > /dev/null
+	dune exec bin/ppat.exe -- figures fig3 fig16 fig17 --jobs 2 > /dev/null
 	@for args in "bin/ppat.exe -- bogus" \
 	    "bin/ppat.exe -- run" \
 	    "bin/ppat.exe -- modelcmp sum_rows" \
@@ -76,7 +77,7 @@ bench-smoke: build
 	    cat /tmp/ppat_usage_err.txt; exit 1; \
 	  fi; \
 	done
-	@echo "bench-smoke: both engines validate sum_rows; fig3 OK on 2 jobs; bad commands, apps, flags, figures, paths and PPAT_* values exit 2"
+	@echo "bench-smoke: both engines validate sum_rows; fig3, fig16 and fig17 validate on 2 jobs; bad commands, apps, flags, figures, paths and PPAT_* values exit 2"
 
 # tier-1 under both cost-model defaults (mapping-specific assertions pin
 # Soft explicitly, everything else must hold under any model; test_mapspace

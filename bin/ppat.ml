@@ -151,23 +151,6 @@ let cmd_report name strat engine model sim_jobs opts json =
          run);
     Format.printf "wrote JSON profile to %s@." f
 
-(* iterate launches of the program once, for trace-search, cuda, explain
-   and racecheck *)
-let iter_launches (app : A.App.t) f =
-  let seen = ref [] in
-  let rec step = function
-    | Ppat_ir.Pat.Launch n ->
-      if not (List.mem n.pat.Ppat_ir.Pat.pid !seen) then begin
-        seen := n.pat.Ppat_ir.Pat.pid :: !seen;
-        f n
-      end
-    | Ppat_ir.Pat.Host_loop { body; _ } | Ppat_ir.Pat.While_flag { body; _ }
-      ->
-      List.iter step body
-    | Ppat_ir.Pat.Swap _ -> ()
-  in
-  List.iter step app.prog.Ppat_ir.Pat.steps
-
 let decide ?trace ?model ?(strat = Ppat_core.Strategy.Auto)
     (opts : Ppat_codegen.Lower.options) (app : A.App.t) n =
   let c =
@@ -180,7 +163,8 @@ let decide ?trace ?model ?(strat = Ppat_core.Strategy.Auto)
 let cmd_trace_search name strat model opts json =
   let app = find_app name in
   let traces = ref [] in
-  iter_launches app (fun n ->
+  List.iter
+    (fun (n : Ppat_ir.Pat.nested) ->
       let candidates = ref [] in
       let _, decision =
         decide
@@ -195,7 +179,8 @@ let cmd_trace_search name strat model opts json =
         }
       in
       traces := st :: !traces;
-      Format.printf "%a@.@." (Ppat_profile.Report.pp_search ~limit:16) st);
+      Format.printf "%a@.@." (Ppat_profile.Report.pp_search ~limit:16) st)
+    (Ppat_ir.Pat.launches app.prog);
   match json with
   | None -> ()
   | Some f ->
@@ -310,7 +295,8 @@ let cmd_mapspace name engine sim_jobs (opts : Ppat_codegen.Lower.options) jobs
 
 let cmd_cuda name opts =
   let app = find_app name in
-  iter_launches app (fun n ->
+  List.iter
+    (fun (n : Ppat_ir.Pat.nested) ->
       let _, r = decide opts app n in
       let params =
         Ppat_harness.Runner.analysis_params app.prog app.params
@@ -324,12 +310,14 @@ let cmd_cuda name opts =
           lowered.launches
       | exception Ppat_codegen.Lower.Unsupported e ->
         Format.printf "// %s: unsupported (%s)@." n.pat.label e)
+    (Ppat_ir.Pat.launches app.prog)
 
 let cmd_explain name =
   let app = find_app name in
   let opts = Ppat_codegen.Lower.effective_options () in
   Format.printf "%a@." Ppat_ir.Pat.pp_prog app.prog;
-  iter_launches app (fun n ->
+  List.iter
+    (fun (n : Ppat_ir.Pat.nested) ->
       let traced = ref [] in
       let c, d = decide ~trace:(fun t -> traced := t :: !traced) opts app n in
       Format.printf "@.%a@.%a@." Ppat_core.Collect.pp c
@@ -339,6 +327,7 @@ let cmd_explain name =
           st_result = d;
           st_candidates = List.rev !traced;
         })
+    (Ppat_ir.Pat.launches app.prog)
 
 (* ppat racecheck [APP...|--all] [--shuffle] — run the static race /
    barrier checker over every kernel the mapping pipeline stages for the
@@ -366,7 +355,8 @@ let cmd_racecheck rest =
         Ppat_harness.Runner.analysis_params app.prog app.params
       in
       Format.printf "%s:@." name;
-      iter_launches app (fun n ->
+      List.iter
+        (fun (n : Ppat_ir.Pat.nested) ->
           let _, r = decide opts app n in
           match
             Ppat_codegen.Lower.lower dev ~opts ~params app.prog n r.mapping
@@ -388,15 +378,17 @@ let cmd_racecheck rest =
                 end)
               lowered.launches
           | exception Ppat_codegen.Lower.Unsupported e ->
-            Format.printf "  %s: unsupported (%s)@." n.pat.label e))
+            Format.printf "  %s: unsupported (%s)@." n.pat.label e)
+        (Ppat_ir.Pat.launches app.prog))
     apps;
   Format.printf "racecheck: %d kernel(s), %d flagged@." !kernels !bad;
   if !bad > 0 then exit 1
 
-(* figures fan out over [jobs] pool domains; each one's output is
-   captured on its worker and printed whole, in the order asked for *)
+(* figures fan out over [jobs] pool domains; each one's table is printed
+   whole, in the order asked for, and any cell that failed validation
+   fails the command *)
 let cmd_figures ~jobs names =
-  let all = A.Experiments.all dev in
+  let all = A.Experiments.all ~jobs dev in
   let selected = if names = [] then List.map fst all else names in
   (* every name is checked before any figure runs *)
   List.iter
@@ -411,13 +403,29 @@ let cmd_figures ~jobs names =
      Parallel Patterns on GPUs' (MICRO 2014)@.on a simulated %s@."
     dev.Ppat_gpu.Device.dname;
   let tasks = Array.of_list selected in
-  Ppat_parallel.pool_run ~jobs (Array.length tasks) (fun i ->
-      let t0 = Unix.gettimeofday () in
-      let out = Ppat_parallel.with_captured (List.assoc tasks.(i) all) in
-      Printf.sprintf "%s  (%s regenerated in %.1f s of simulation)\n" out
-        tasks.(i)
-        (Unix.gettimeofday () -. t0))
-  |> Array.iter print_string
+  let failed =
+    Ppat_parallel.pool_run ~jobs (Array.length tasks) (fun i ->
+        let t0 = Unix.gettimeofday () in
+        let table = List.assoc tasks.(i) all () in
+        ( Format.asprintf "%a  (%s regenerated in %.1f s of simulation)@."
+            A.Experiments.print_table table tasks.(i)
+            (Unix.gettimeofday () -. t0),
+          List.map
+            (fun (row, variant) -> (tasks.(i), row, variant))
+            (A.Experiments.failures table) ))
+    |> Array.to_list
+    |> List.concat_map (fun (out, failed) ->
+           print_string out;
+           failed)
+  in
+  List.iter
+    (fun (fig, row, variant) ->
+      Format.eprintf
+        "ppat: figures: %s, row %S, variant %S failed validation against \
+         the CPU reference@."
+        fig row variant)
+    failed;
+  if failed <> [] then exit 1
 
 (* ppat serve [--jobs N] [--socket PATH] [--plan-cache N] [--memo-cache N]
    — the persistent mapping service: line-delimited JSON requests on

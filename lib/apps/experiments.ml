@@ -2,6 +2,7 @@ module Strategy = Ppat_core.Strategy
 module Mapping = Ppat_core.Mapping
 module Lower = Ppat_codegen.Lower
 module Runner = Ppat_harness.Runner
+module Cost_model = Ppat_core.Cost_model
 module MK = Manual_kernels
 
 type cell = { variant : string; seconds : float; ok : bool }
@@ -12,12 +13,6 @@ type table = {
   baseline : string;
   rows : row list;
   notes : string list;
-}
-
-type sweep_point = {
-  mapping : Mapping.t;
-  score : float;
-  sw_seconds : float;
 }
 
 (* run one app under a strategy against a precomputed oracle *)
@@ -270,77 +265,93 @@ let fig16 dev =
 
 (* ----- Figure 17 ----- *)
 
-let fig17 ?(max_points = 48) dev =
+(* a view over the mapping-space report: every mapping it samples (each
+   cost model's top-6 plus a strided sample), checked against the oracle,
+   next to the MultiDim pick and the warp-based preset *)
+let fig17 ~jobs dev =
   let app = Mandelbrot.app ~h:32 ~w:2048 ~max_iter:24 Mandelbrot.R in
-  let prog = app.prog in
-  let ap = Runner.analysis_params prog app.params in
-  let top =
-    match prog.steps with
-    | [ Ppat_ir.Pat.Launch n ] -> n
-    | _ -> assert false
-  in
-  let c = Ppat_core.Collect.collect ~params:ap ?bind:top.bind dev prog top.pat in
-  let candidates = Ppat_core.Search.enumerate dev c in
-  (* deterministic thinning to max_points *)
-  let n = List.length candidates in
-  let stride = max 1 (n / max_points) in
-  let sampled =
-    List.filteri (fun i _ -> i mod stride = 0) candidates
-  in
   let data = App.input_data app in
-  let oracle = oracle_of app in
-  let points =
-    List.filter_map
-      (fun (m, (e : Ppat_core.Cost_model.eval)) ->
-        match
-          Runner.run_gpu_mapped ~params:app.params dev prog
-            (fun _ -> m)
-            data
-        with
-        | r ->
-          let ok =
-            Runner.check ~eps:1e-6 prog ~expected:oracle ~actual:r.data
-            = Ok ()
-          in
-          if ok then
-            Some
-              { mapping = m; score = e.soft_score; sw_seconds = r.seconds }
-          else None
-        | exception Lower.Unsupported _ -> None)
-      sampled
+  let ms =
+    match
+      Runner.mapspace ~top:6 ~jobs ~params:app.params dev app.prog data
+    with
+    | Ok ms -> ms
+    | Error e -> failwith ("fig17: " ^ e)
   in
-  let auto = strat_cell dev app oracle Strategy.Auto in
-  let warp = strat_cell dev app oracle Strategy.Warp_based in
+  let oracle = oracle_of app in
+  let ts = ms.ms_space in
+  (* population index, soft score and validated cell of each sample *)
+  let point k (c : Runner.sweep_candidate) =
+    let seconds, ok =
+      match c.sc_result with
+      | Ok r ->
+        ( r.seconds,
+          Runner.check ~eps:1e-6 app.prog ~expected:oracle ~actual:r.data
+          = Ok () )
+      | Error _ -> (nan, false)
+    in
+    ( ms.ms_sample.(k),
+      (Cost_model.evaluate Cost_model.Soft dev ts.ts_collect c.sc_mapping)
+        .soft_score,
+      { variant = Mapping.to_string c.sc_mapping; seconds; ok } )
+  in
+  let points = Array.to_list (Array.mapi point ms.ms_results) in
+  let soft =
+    List.find
+      (fun (m : Runner.model_report) -> m.mr_model = Cost_model.Soft)
+      ms.ms_models
+  in
   let best =
     List.fold_left
-      (fun acc pt -> Float.min acc pt.sw_seconds)
+      (fun acc (_, _, c) -> if c.ok then Float.min acc c.seconds else acc)
       infinity points
   in
-  let table =
-    {
-      title =
-        "Figure 17: performance and score across the mapping space \
-         (skewed Mandelbrot output)";
-      baseline = "best sampled mapping";
-      rows =
-        [
-          {
-            rlabel = "summary";
-            cells =
-              [
-                { variant = "best sampled mapping"; seconds = best; ok = true };
-                { variant = "MultiDim pick"; seconds = auto.seconds;
-                  ok = auto.ok };
-                { variant = "Warp-based (region B)"; seconds = warp.seconds;
-                  ok = warp.ok };
-              ];
-          };
-        ];
-      notes =
-        [ Printf.sprintf "%d of %d feasible mappings sampled" (List.length points) n ];
-    }
+  let soft_pick =
+    List.filter_map
+      (fun (i, _, c) ->
+        if i = soft.mr_selected then Some { c with variant = "soft pick" }
+        else None)
+      points
   in
-  (points, table)
+  let failed = List.length (List.filter (fun (_, _, c) -> not c.ok) points) in
+  let by_score =
+    List.stable_sort (fun (_, a, _) (_, b, _) -> Float.compare b a) points
+  in
+  {
+    title =
+      "Figure 17: performance and score across the mapping space \
+       (skewed Mandelbrot output)";
+    baseline = "best sampled mapping";
+    rows =
+      {
+        rlabel = "summary";
+        cells =
+          ({ variant = "best sampled mapping"; seconds = best; ok = true }
+           :: soft_pick)
+          @ [
+              { (strat_cell dev app oracle Strategy.Auto) with
+                variant = "MultiDim pick" };
+              { (strat_cell dev app oracle Strategy.Warp_based) with
+                variant = "Warp-based (region B)" };
+            ];
+      }
+      :: List.map
+           (fun (_, score, c) ->
+             { rlabel = Printf.sprintf "soft score %.4g" score; cells = [ c ] })
+           by_score;
+    notes =
+      [
+        Printf.sprintf
+          "%d of %d hard-feasible mappings sampled (each cost model's \
+           top-6 plus a stride-%d sample), %d failed; soft's rank \
+           correlation with simulated time rho=%.3f, its pick's regret \
+           %.1f%%"
+          (List.length points)
+          (Array.length ts.ts_candidates)
+          (Ppat_core.Sweep.stride (Array.length ts.ts_candidates))
+          failed soft.mr_spearman (100. *. soft.mr_regret);
+      ];
+  }
 
 (* ----- Ablations: the optimisations of Section V and the generated-code
    quality choices, each toggled in isolation ----- *)
@@ -398,7 +409,7 @@ let shuffle_row ?(frames = 1024) dev =
   let cell variant shuffle =
     let opts = { Lower.default_options with shuffle } in
     let c =
-      strat_cell ~opts ~model:Ppat_core.Cost_model.Soft dev app oracle
+      strat_cell ~opts ~model:Cost_model.Soft dev app oracle
         Strategy.Auto
     in
     { c with variant }
@@ -526,44 +537,47 @@ let print_table ppf (t : table) =
   Format.fprintf ppf "@.%s@." t.title;
   Format.fprintf ppf "%s@."
     (String.make (min 78 (String.length t.title)) '-');
+  let mark c = if c.ok then "" else "(!)" in
   List.iter
     (fun r ->
-      let base =
-        match List.find_opt (fun c -> c.variant = t.baseline) r.cells with
-        | Some c -> c.seconds
-        | None -> (
-          (* rows without the named baseline normalise to their first cell *)
-          match r.cells with c :: _ -> c.seconds | [] -> 1.)
-      in
       Format.fprintf ppf "  %-22s" r.rlabel;
-      List.iter
-        (fun c ->
-          Format.fprintf ppf " %s=%.2f%s" c.variant (c.seconds /. base)
-            (if c.ok then "" else "(!)"))
-        r.cells;
-      Format.fprintf ppf "  [%.3g s]@." base)
+      match
+        (List.find_opt (fun c -> c.variant = t.baseline) r.cells, r.cells)
+      with
+      | None, [ c ] ->
+        (* a lone cell has nothing to be normalised to *)
+        Format.fprintf ppf " %s%s  [%.4g s]@." c.variant (mark c) c.seconds
+      | base, cells ->
+        (* rows without the named baseline normalise to their first cell *)
+        let base =
+          match (base, cells) with
+          | Some c, _ | None, c :: _ -> c.seconds
+          | None, [] -> 1.
+        in
+        List.iter
+          (fun c ->
+            Format.fprintf ppf " %s=%.2f%s" c.variant (c.seconds /. base)
+              (mark c))
+          cells;
+        Format.fprintf ppf "  [%.3g s]@." base)
     t.rows;
   List.iter (fun n -> Format.fprintf ppf "  note: %s@." n) t.notes
 
-let print_sweep ppf points =
-  Format.fprintf ppf "@.  score    time(s)    mapping@.";
-  List.iter
-    (fun pt ->
-      Format.fprintf ppf "  %8.4g %10.4g  %s@." pt.score pt.sw_seconds
-        (Mapping.to_string pt.mapping))
-    (List.sort (fun a b -> compare b.score a.score) points)
+let failures t =
+  List.concat_map
+    (fun r ->
+      List.filter_map
+        (fun c -> if c.ok then None else Some (r.rlabel, c.variant))
+        r.cells)
+    t.rows
 
-let all dev =
+let all ~jobs dev =
   [
-    ("fig3", fun () -> print_table Format.std_formatter (fig3 dev));
-    ("fig12", fun () -> print_table Format.std_formatter (fig12 dev));
-    ("fig13", fun () -> print_table Format.std_formatter (fig13 dev));
-    ("fig14", fun () -> print_table Format.std_formatter (fig14 dev));
-    ("fig16", fun () -> print_table Format.std_formatter (fig16 dev));
-    ( "fig17",
-      fun () ->
-        let points, table = fig17 dev in
-        print_sweep Format.std_formatter points;
-        print_table Format.std_formatter table );
-    ("ablation", fun () -> print_table Format.std_formatter (ablation dev));
+    ("fig3", fun () -> fig3 dev);
+    ("fig12", fun () -> fig12 dev);
+    ("fig13", fun () -> fig13 dev);
+    ("fig14", fun () -> fig14 dev);
+    ("fig16", fun () -> fig16 dev);
+    ("fig17", fun () -> fig17 ~jobs dev);
+    ("ablation", fun () -> ablation dev);
   ]

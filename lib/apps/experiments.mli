@@ -41,17 +41,17 @@ val fig16 : Ppat_gpu.Device.t -> table
 (** Dynamic-allocation optimisation: malloc vs pre-allocation vs
     pre-allocation with mapping-aware layout. *)
 
-type sweep_point = {
-  mapping : Ppat_core.Mapping.t;
-  score : float;
-  sw_seconds : float;
-}
-
-val fig17 :
-  ?max_points:int -> Ppat_gpu.Device.t -> sweep_point list * table
-(** Mapping-space sweep on a skewed Mandelbrot: every sampled hard-feasible
-    mapping with its score and simulated time, plus a summary table
-    (best region, the auto pick, the warp-based preset). *)
+val fig17 : jobs:int -> Ppat_gpu.Device.t -> table
+(** Score against performance over the mapping space of a skewed
+    Mandelbrot, as a view over {!Ppat_harness.Runner.mapspace} with top-6
+    on [jobs] pool domains. The ["summary"] row holds the best sampled
+    mapping (the baseline), the soft model's pick (absent when it failed
+    to simulate), the MultiDim pick and the warp-based preset. Then one
+    row per sampled mapping, by descending soft score: labelled with the
+    score, one cell named by the mapping, checked against the CPU
+    reference (a lowering or simulation failure is a failed cell with
+    [nan] seconds). The note gives the sampled, population and failed
+    counts and soft's rank correlation and regret. *)
 
 val fig8_app : ?rows:int -> ?cols:int -> unit -> App.t
 (** The paper's Figure 8 shape: an imperfect nest whose outer level reads a
@@ -70,7 +70,13 @@ val shuffle_row : ?frames:int -> Ppat_gpu.Device.t -> row
     and with warp shuffles (["shuffle"]). *)
 
 val print_table : Format.formatter -> table -> unit
-val print_sweep : Format.formatter -> sweep_point list -> unit
+(** Each row normalised to its baseline cell (or its first cell when it
+    has none); a failed cell is marked [(!)]. A lone cell without the
+    baseline prints its absolute seconds. *)
 
-val all : Ppat_gpu.Device.t -> (string * (unit -> unit)) list
-(** Named thunks that run and print each figure, in paper order. *)
+val failures : table -> (string * string) list
+(** Row label and variant of every cell that failed validation. *)
+
+val all : jobs:int -> Ppat_gpu.Device.t -> (string * (unit -> table)) list
+(** Named thunks that run each figure, in paper order; [jobs] is the
+    pool width of figures that fan out themselves (fig17). *)

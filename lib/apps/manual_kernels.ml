@@ -18,10 +18,9 @@ let fixed ?(opts = Ppat_codegen.Lower.effective_options ()) dev pick
   let prog = app.prog in
   let ap = Runner.analysis_params prog app.params in
   (* per top-level pattern: hand mapping if given, else the auto decision *)
-  let decisions = ref [] in
-  let rec step = function
-    | Pat.Launch n ->
-      if not (List.mem_assoc n.pat.Pat.pid !decisions) then begin
+  let decisions =
+    List.map
+      (fun (n : Pat.nested) ->
         let c = Collect.collect ~params:ap ?bind:n.bind dev prog n.pat in
         let strat =
           match pick n.pat.Pat.label with
@@ -29,16 +28,12 @@ let fixed ?(opts = Ppat_codegen.Lower.effective_options ()) dev pick
           | None -> Strategy.Auto
         in
         let d = Strategy.decide ~shuffle:opts.shuffle dev c strat in
-        decisions := (n.pat.Pat.pid, d.Strategy.mapping) :: !decisions
-      end
-    | Pat.Host_loop { body; _ } | Pat.While_flag { body; _ } ->
-      List.iter step body
-    | Pat.Swap _ -> ()
+        (n.pat.Pat.pid, d.Strategy.mapping))
+      (Pat.launches prog)
   in
-  List.iter step prog.steps;
   let r =
     Runner.run_gpu_mapped ~opts ~params:app.params dev prog
-      (fun pid -> List.assoc pid !decisions)
+      (fun pid -> List.assoc pid decisions)
       data
   in
   { seconds = r.seconds; data = r.data }

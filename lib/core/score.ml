@@ -41,9 +41,3 @@ let score dev softs m =
   List.fold_left
     (fun acc c -> if c.satisfied then acc +. c.weight else acc)
     0. (explain dev softs m)
-
-let pp_component ppf c =
-  Format.fprintf ppf "%s%a (%+g)"
-    (if c.satisfied then "+" else "-")
-    Constr.pp_soft c.constr
-    (if c.satisfied then c.weight else 0.)

@@ -27,6 +27,4 @@ val explain :
 
 val score : Ppat_gpu.Device.t -> Constr.soft list -> Mapping.t -> float
 
-val pp_component : Format.formatter -> component -> unit
-
 val next_pow2 : int -> int

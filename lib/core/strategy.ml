@@ -21,8 +21,6 @@ let name = function
   | Warp_based -> "Warp-based"
   | Fixed _ -> "Fixed"
 
-let all_fixed = [ One_d; Thread_block_thread; Warp_based ]
-
 let of_string ~name =
   Ppat_gpu.Tuning.parse_enum ~name
     [

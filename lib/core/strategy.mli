@@ -57,6 +57,3 @@ val decide :
     [model] defaults to {!Cost_model.default}; it steers the ranking for
     [Auto] and is recorded (plus a prediction) for every strategy.
     [shuffle] goes to {!Predict.predict}. *)
-
-val all_fixed : t list
-(** [One_d; Thread_block_thread; Warp_based]. *)

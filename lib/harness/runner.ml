@@ -48,29 +48,21 @@ let decide_all ?model ?memo ?(opts = Lower.effective_options ()) dev
     (prog : Pat.prog) params strategy =
   let shuffle = opts.Lower.shuffle in
   let ap = analysis_params prog params in
-  let decisions = ref [] in
-  let rec step = function
-    | Pat.Launch n ->
-      if not (List.mem_assoc n.pat.Pat.pid !decisions) then begin
-        let d =
-          Ppat_metrics.Metrics.span ~cat:"search" "mapping search"
-            (fun () ->
-              match memo with
-              | Some m ->
-                Ppat_core.Search_memo.decide m ?model ~shuffle ~params:ap
-                  ?bind:n.bind dev prog n.pat strategy
-              | None ->
-                let c = Collect.collect ~params:ap ?bind:n.bind dev prog n.pat in
-                Strategy.decide ?model ~shuffle dev c strategy)
-        in
-        decisions := (n.pat.Pat.pid, d) :: !decisions
-      end
-    | Pat.Host_loop { body; _ } | Pat.While_flag { body; _ } ->
-      List.iter step body
-    | Pat.Swap _ -> ()
-  in
-  List.iter step prog.steps;
-  !decisions
+  (* decided in launch order, listed newest first *)
+  List.fold_left
+    (fun decisions (n : Pat.nested) ->
+      let d =
+        Ppat_metrics.Metrics.span ~cat:"search" "mapping search" (fun () ->
+            match memo with
+            | Some m ->
+              Ppat_core.Search_memo.decide m ?model ~shuffle ~params:ap
+                ?bind:n.bind dev prog n.pat strategy
+            | None ->
+              let c = Collect.collect ~params:ap ?bind:n.bind dev prog n.pat in
+              Strategy.decide ?model ~shuffle dev c strategy)
+      in
+      (n.pat.Pat.pid, d) :: decisions)
+    [] (Pat.launches prog)
 
 (* ----- the one execution walk: every run stages its launches (lowering
    plus closure compilation) and executes them; a cold run is a staging
@@ -541,16 +533,11 @@ let sweep_mapped ?engine ?sim_jobs ?(jobs = 1)
    | Error e -> failwith ("invalid program: " ^ e));
   let ap = analysis_params prog params in
   let target =
-    let found = ref None in
-    let rec step = function
-      | Pat.Launch n ->
-        if n.pat.Pat.pid = target_pid && !found = None then found := Some n
-      | Pat.Host_loop { body; _ } | Pat.While_flag { body; _ } ->
-        List.iter step body
-      | Pat.Swap _ -> ()
-    in
-    List.iter step prog.Pat.steps;
-    match !found with
+    match
+      List.find_opt
+        (fun (n : Pat.nested) -> n.pat.Pat.pid = target_pid)
+        (Pat.launches prog)
+    with
     | Some n -> n
     | None -> failwith (Printf.sprintf "sweep: no launch with pid %d" target_pid)
   in
@@ -650,17 +637,12 @@ type target_space = {
 
 let target_space ?(params = []) dev (prog : Pat.prog) =
   let ap = analysis_params prog params in
-  let pats = ref [] in
-  let rec step = function
-    | Pat.Launch n ->
-      if not (List.exists (fun (m, _) -> m.Pat.pat.Pat.pid = n.pat.Pat.pid) !pats)
-      then pats := (n, Collect.collect ~params:ap ?bind:n.bind dev prog n.pat) :: !pats
-    | Pat.Host_loop { body; _ } | Pat.While_flag { body; _ } ->
-      List.iter step body
-    | Pat.Swap _ -> ()
+  let pats =
+    List.map
+      (fun (n : Pat.nested) ->
+        (n, Collect.collect ~params:ap ?bind:n.bind dev prog n.pat))
+      (Pat.launches prog)
   in
-  List.iter step prog.steps;
-  let pats = List.rev !pats in
   if pats = [] then invalid_arg (prog.pname ^ " has no launches");
   (* non-target patterns keep their soft-model auto mapping, so candidate
      mappings of the target are the only variable between simulations *)

@@ -231,17 +231,3 @@ let collect ~params (prog : Pat.prog) (top : Pat.pattern) =
   in
   pattern ~env:[] ~pids:[] ~weight:1. ~branch:0 top;
   List.rev !out
-
-let pp_stride ppf = function
-  | Known n -> Format.fprintf ppf "%d" n
-  | Unknown -> Format.pp_print_string ppf "?"
-
-let pp_access ppf a =
-  Format.fprintf ppf "@[<h>%s%s %s strides:[%a] w:%g b:%d@]"
-    (if a.is_store then "store " else "load ")
-    (if a.alocal then "(local)" else "")
-    a.abuf
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       (fun ppf (pid, s) -> Format.fprintf ppf "i%d:%a" pid pp_stride s))
-    a.strides a.weight a.branch_depth

@@ -60,5 +60,3 @@ val linearize :
   params:(string * int) list -> Pat.buffer -> Exp.t list -> Exp.t
 (** Physical element index of a logical multi-dimensional access under the
     buffer's current layout. *)
-
-val pp_access : Format.formatter -> access -> unit

@@ -59,17 +59,3 @@ let approx_equal ?(eps = 1e-9) a b =
         !ok)
   | I x, I y -> x = y
   | F _, I _ | I _, F _ -> false
-
-let pp_buf ppf = function
-  | F a ->
-    Format.fprintf ppf "@[<h>[%a]@]"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-         (fun ppf x -> Format.fprintf ppf "%g" x))
-      (Array.to_list a)
-  | I a ->
-    Format.fprintf ppf "@[<h>[%a]@]"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-         Format.pp_print_int)
-      (Array.to_list a)

@@ -31,5 +31,3 @@ val approx_equal : ?eps:float -> buf -> buf -> bool
 (** Element-wise comparison; floats compared with relative/absolute
     tolerance [eps] (default 1e-9), suitable for checking the simulated GPU
     result against the CPU oracle when reduction orders differ. *)
-
-val pp_buf : Format.formatter -> buf -> unit

@@ -82,14 +82,6 @@ let min_reducer =
   { init = Exp.Float infinity; a = "a"; b = "b";
     combine = Exp.Bin (Exp.Min, Exp.Var "a", Exp.Var "b") }
 
-let int_sum_reducer =
-  { init = Exp.Int 0; a = "a"; b = "b";
-    combine = Exp.Bin (Exp.Add, Exp.Var "a", Exp.Var "b") }
-
-let int_or_reducer =
-  { init = Exp.Int 0; a = "a"; b = "b";
-    combine = Exp.Bin (Exp.Max, Exp.Var "a", Exp.Var "b") }
-
 (* ----- traversal ----- *)
 
 let rec iter_stmts_pattern f level p =
@@ -106,6 +98,17 @@ and iter_stmts f level stmts =
     | For (_, _, _, b) | While (_, b) -> List.iter stmt b
   in
   List.iter stmt stmts
+
+let launches prog =
+  let rec step acc = function
+    | Launch n ->
+      if List.exists (fun m -> m.pat.pid = n.pat.pid) acc then acc
+      else n :: acc
+    | Host_loop { body; _ } | While_flag { body; _ } ->
+      List.fold_left step acc body
+    | Swap _ -> acc
+  in
+  List.rev (List.fold_left step [] prog.steps)
 
 let iter_patterns f prog =
   let rec step = function

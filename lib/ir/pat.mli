@@ -126,14 +126,16 @@ val sum_reducer : reducer
 
 val max_reducer : reducer
 val min_reducer : reducer
-val int_sum_reducer : reducer
-val int_or_reducer : reducer
 
 val validate : prog -> (unit, string) result
 (** Structural checks: unique pattern ids, unique buffer names, stores target
     existing buffers or local arrays, [bind] present where the kind produces
     a value, nesting depth at most 3 (the number of logical dimensions the
     code generator emits), dynamic sizes only on nested patterns. *)
+
+val launches : prog -> nested list
+(** The distinct top-level launches of the program by pattern id, in
+    first-seen order, looking inside host loops and flag loops. *)
 
 val iter_patterns : (int -> pattern -> unit) -> prog -> unit
 (** Apply a function to every pattern in the program with its nest level

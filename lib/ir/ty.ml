@@ -14,5 +14,3 @@ let pp_extent ppf = function
 let extent_value params = function
   | Const n -> n
   | Param p -> List.assoc p params
-
-let equal_scalar (a : scalar) (b : scalar) = a = b

@@ -27,5 +27,3 @@ val pp_extent : Format.formatter -> extent -> unit
 val extent_value : (string * int) list -> extent -> int
 (** [extent_value params e] resolves [e] against the runtime parameter
     environment. @raise Not_found if a parameter is unbound. *)
-
-val equal_scalar : scalar -> scalar -> bool

@@ -47,11 +47,6 @@ type info = {
   spath : string;  (* structural path, e.g. "body/for(i_rows)/if" *)
 }
 
-let describe i =
-  match i.skind with
-  | Branch -> Printf.sprintf "branch @ %s" i.spath
-  | k -> Printf.sprintf "%s %s @ %s" (kind_name k) i.sbuf i.spath
-
 (* Per-statement site annotation, mirroring [Kir.stmt]. Each [int array]
    is the site-id sequence of one flush group, in record order. *)
 type ann =

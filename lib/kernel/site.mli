@@ -21,8 +21,6 @@ type info = {
   spath : string;  (** structural path, e.g. ["body/for(i_rows)/if"] *)
 }
 
-val describe : info -> string
-
 (** Per-statement annotation mirroring [Kir.stmt]; each [int array] holds
     the site ids of one warp flush group in record order, so slot [s] of
     the group belongs to element [s]. *)

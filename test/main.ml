@@ -31,5 +31,6 @@ let () =
       ("race", Test_race.tests);
       ("sweep", Test_sweep.tests);
       ("mapspace", Test_mapspace.tests);
+      ("paper", Test_paper.tests);
       ("golden", Test_golden.tests);
     ]

@@ -113,17 +113,6 @@ let ren_prog (p : Pat.prog) =
    reducer operands a second time inside ren_kind's combine handling —
    keep the renamer honest by running renamed programs through validate *)
 
-let top_nesteds (p : Pat.prog) =
-  let acc = ref [] in
-  let rec step = function
-    | Pat.Launch n -> if not (List.memq n !acc) then acc := n :: !acc
-    | Pat.Host_loop { body; _ } | Pat.While_flag { body; _ } ->
-      List.iter step body
-    | Pat.Swap _ -> ()
-  in
-  List.iter step p.Pat.steps;
-  List.rev !acc
-
 let apps () =
   [
     ("sum_rows", A.Sum_rows_cols.sum_rows ~r:64 ~c:48 ());
@@ -156,7 +145,7 @@ let test_alpha_equivalence () =
             (name ^ "/" ^ n.Pat.pat.Pat.label ^ ": nest_key invariant")
             (Canon.nest_key ~params ?bind:n.Pat.bind dev prog n.Pat.pat)
             (Canon.nest_key ~params ?bind:n'.Pat.bind dev prog' n'.Pat.pat))
-        (top_nesteds prog) (top_nesteds prog'))
+        (Pat.launches prog) (Pat.launches prog'))
     (apps ())
 
 let test_shapes_do_not_collide () =
@@ -174,7 +163,7 @@ let test_shapes_do_not_collide () =
   in
   let feed name (app : A.App.t) =
     let params = Ppat_harness.Runner.analysis_params app.A.App.prog app.A.App.params in
-    List.iter (add name app.A.App.prog params) (top_nesteds app.A.App.prog)
+    List.iter (add name app.A.App.prog params) (Pat.launches app.A.App.prog)
   in
   let rng = Random.State.make [| 42 |] in
   let seen = Hashtbl.create 256 in

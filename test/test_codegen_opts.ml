@@ -132,16 +132,9 @@ let test_prefetch_emits_smem () =
   (* under a y-major mapping, the invariant mult[i] read is staged *)
   let app = Ppat_apps.Gaussian.app ~n:64 Ppat_apps.Gaussian.R in
   let n2 =
-    let found = ref None in
-    let rec step = function
-      | Pat.Launch n ->
-        if n.pat.Pat.label = "fan2_r" then found := Some n
-      | Pat.Host_loop { body; _ } | Pat.While_flag { body; _ } ->
-        List.iter step body
-      | Pat.Swap _ -> ()
-    in
-    List.iter step app.prog.steps;
-    Option.get !found
+    List.find
+      (fun (n : Pat.nested) -> n.pat.Pat.label = "fan2_r")
+      (Pat.launches app.prog)
   in
   let params = ("t", 5) :: Ppat_apps.App.resolved_params app in
   let m =

@@ -16,24 +16,12 @@ let dev = Ppat_gpu.Device.k20c
 (* every distinct top-level pattern of an app, with its collection *)
 let collections (app : A.App.t) =
   let ap = Runner.analysis_params app.prog app.params in
-  let seen = ref [] in
-  let out = ref [] in
-  let rec step = function
-    | Ppat_ir.Pat.Launch n ->
-      if not (List.mem n.pat.Ppat_ir.Pat.pid !seen) then begin
-        seen := n.pat.Ppat_ir.Pat.pid :: !seen;
-        let c =
-          Collect.collect ~params:ap ?bind:n.bind dev app.prog n.pat
-        in
-        out := (n.pat.Ppat_ir.Pat.pid, n.pat.Ppat_ir.Pat.label, c) :: !out
-      end
-    | Ppat_ir.Pat.Host_loop { body; _ } | Ppat_ir.Pat.While_flag { body; _ }
-      ->
-      List.iter step body
-    | Ppat_ir.Pat.Swap _ -> ()
-  in
-  List.iter step app.prog.Ppat_ir.Pat.steps;
-  List.rev !out
+  List.map
+    (fun (n : Ppat_ir.Pat.nested) ->
+      ( n.pat.Ppat_ir.Pat.pid,
+        n.pat.Ppat_ir.Pat.label,
+        Collect.collect ~params:ap ?bind:n.bind dev app.prog n.pat ))
+    (Ppat_ir.Pat.launches app.prog)
 
 (* a spread of bench apps at sizes small enough for exhaustive checks *)
 let bench_apps () : (string * A.App.t) list =

@@ -119,44 +119,36 @@ let manual_cases =
   ]
 
 let mapping_sweep_case =
-  (* every feasible mapping of a small sumRows must execute correctly *)
+  (* every unique hard-feasible mapping of a small sumRows must lower,
+     simulate and match the oracle *)
   Alcotest.test_case "mapping-space sweep correctness" `Slow (fun () ->
       let app = A.Sum_rows_cols.sum_rows ~r:32 ~c:48 () in
       let data = A.App.input_data app in
       let cpu = Runner.run_cpu ~params:app.params app.prog data in
-      let n =
-        match app.prog.Ppat_ir.Pat.steps with
-        | Ppat_ir.Pat.Launch n :: _ -> n
-        | _ -> assert false
+      let ts = Runner.target_space ~params:app.params dev app.prog in
+      let results, _ =
+        Runner.sweep_mapped ~jobs:2 ~params:app.params dev app.prog
+          ~target_pid:ts.ts_target.pat.Ppat_ir.Pat.pid ~base:ts.ts_base
+          ts.ts_candidates data
       in
-      let c =
-        Ppat_core.Collect.collect
-          ~params:(Runner.analysis_params app.prog app.params)
-          ?bind:n.bind dev app.prog n.pat
-      in
-      let all =
-        Ppat_core.Search.enumerate ~model:Ppat_core.Cost_model.Soft dev c
-      in
-      let step = max 1 (List.length all / 40) in
-      List.iteri
-        (fun i (m, _) ->
-          if i mod step = 0 then begin
-            let r =
-              Runner.run_gpu_mapped ~params:app.params dev app.prog
-                (fun _ -> m)
-                data
-            in
+      Alcotest.(check int) "unique mappings swept" 264 (Array.length results);
+      Array.iter
+        (fun (c : Runner.sweep_candidate) ->
+          let fail e =
+            Alcotest.failf "mapping %s: %s"
+              (Ppat_core.Mapping.to_string c.sc_mapping)
+              e
+          in
+          match c.sc_result with
+          | Error e -> fail e
+          | Ok r -> (
             match
               Runner.check ~eps:1e-9 app.prog ~expected:cpu.cpu_data
                 ~actual:r.data
             with
             | Ok () -> ()
-            | Error e ->
-              Alcotest.failf "mapping %s: %s"
-                (Ppat_core.Mapping.to_string m)
-                e
-          end)
-        all)
+            | Error e -> fail e))
+        results)
 
 (* the ablation's shuffle row at a reduced size: both lowerings validate
    and warp shuffles beat the shared-memory trees on msmCluster's

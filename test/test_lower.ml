@@ -161,8 +161,8 @@ let test_searched_decisions_lower () =
             Ppat_harness.Runner.decide_all ~model ~opts:Lower.default_options
               dev app.prog app.params Ppat_core.Strategy.Auto
           in
-          let rec step = function
-            | Pat.Launch n -> (
+          List.iter
+            (fun (n : Pat.nested) ->
               let m =
                 (List.assoc n.pat.Pat.pid decisions).Ppat_core.Strategy.mapping
               in
@@ -172,11 +172,7 @@ let test_searched_decisions_lower () =
                 Alcotest.failf "%s, %s model, %s: %s" name
                   (Ppat_core.Cost_model.name model)
                   (M.to_string m) e)
-            | Pat.Host_loop { body; _ } | Pat.While_flag { body; _ } ->
-              List.iter step body
-            | Pat.Swap _ -> ()
-          in
-          List.iter step app.prog.Pat.steps)
+            (Pat.launches app.prog))
         Ppat_core.Cost_model.all)
     Ppat_apps.Registry.all
 

@@ -231,16 +231,7 @@ let test_bound_classification () =
 
 let collect_first (app : Ppat_apps.App.t) =
   let prog = app.prog in
-  let found = ref None in
-  let rec step (s : Ppat_ir.Pat.step) =
-    match s with
-    | Ppat_ir.Pat.Launch n -> if !found = None then found := Some n
-    | Ppat_ir.Pat.Host_loop { body; _ } | Ppat_ir.Pat.While_flag { body; _ } ->
-      List.iter step body
-    | Ppat_ir.Pat.Swap _ -> ()
-  in
-  List.iter step prog.Ppat_ir.Pat.steps;
-  let n = Option.get !found in
+  let n = List.hd (Ppat_ir.Pat.launches prog) in
   ( n.pat.Ppat_ir.Pat.label,
     Ppat_core.Collect.collect
       ~params:(Runner.analysis_params prog app.params)

@@ -109,25 +109,17 @@ let test_divergence () =
 let stage_launches ?(opts = Lower.default_options) (app : A.App.t) :
     (string * Kir.launch) list =
   let params = Runner.analysis_params app.prog app.params in
-  let out = ref [] in
-  let rec step (s : Pat.step) =
-    match s with
-    | Pat.Launch n -> (
+  List.concat_map
+    (fun (n : Pat.nested) ->
       let c = Ppat_core.Collect.collect ~params ?bind:n.bind dev app.prog n.pat in
       let r = Ppat_core.Search.search dev c in
       match Lower.lower dev ~opts ~params app.prog n r.mapping with
       | lowered ->
-        List.iter
-          (fun (l : Kir.launch) ->
-            out := (l.Kir.kernel.Kir.kname, l) :: !out)
+        List.map
+          (fun (l : Kir.launch) -> (l.Kir.kernel.Kir.kname, l))
           lowered.Lower.launches
-      | exception Lower.Unsupported _ -> ())
-    | Pat.Host_loop { body; _ } | Pat.While_flag { body; _ } ->
-      List.iter step body
-    | Pat.Swap _ -> ()
-  in
-  List.iter step app.prog.Pat.steps;
-  List.rev !out
+      | exception Lower.Unsupported _ -> [])
+    (Pat.launches app.prog)
 
 let rec strip_syncs (s : Kir.stmt) : Kir.stmt option =
   match s with

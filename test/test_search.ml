@@ -12,21 +12,11 @@ let dev = Ppat_gpu.Device.k20c
 (* analyse the first (deepest-first) top-level launch of the app *)
 let collect_of (app : Ppat_apps.App.t) =
   let prog = app.prog in
-  let found = ref None in
-  let rec step (s : Ppat_ir.Pat.step) =
-    match s with
-    | Ppat_ir.Pat.Launch n ->
-      let d = (Ppat_ir.Levels.of_top n.pat).Ppat_ir.Levels.depth in
-      (match !found with
-       | Some (d0, _) when d0 >= d -> ()
-       | _ -> found := Some (d, n))
-    | Ppat_ir.Pat.Host_loop { body; _ } | Ppat_ir.Pat.While_flag { body; _ }
-      ->
-      List.iter step body
-    | Ppat_ir.Pat.Swap _ -> ()
+  let deepest found (n : Ppat_ir.Pat.nested) =
+    let d = (Ppat_ir.Levels.of_top n.pat).Ppat_ir.Levels.depth in
+    match found with Some (d0, _) when d0 >= d -> found | _ -> Some (d, n)
   in
-  List.iter step prog.Ppat_ir.Pat.steps;
-  match !found with
+  match List.fold_left deepest None (Ppat_ir.Pat.launches prog) with
   | Some (_, n) ->
     Collect.collect
       ~params:(Ppat_harness.Runner.analysis_params prog app.params)

@@ -46,9 +46,8 @@ let test_analysable () =
           let ap =
             Ppat_harness.Runner.analysis_params app.prog app.params
           in
-          let rec step (s : Ppat_ir.Pat.step) =
-            match s with
-            | Ppat_ir.Pat.Launch n ->
+          List.iter
+            (fun (n : Ppat_ir.Pat.nested) ->
               let c =
                 Ppat_core.Collect.collect ~params:ap ?bind:n.bind dev
                   app.prog n.pat
@@ -58,13 +57,8 @@ let test_analysable () =
                 (Printf.sprintf "%s/%s feasible" name n.pat.Ppat_ir.Pat.label)
                 true
                 (Ppat_core.Mapping.threads_per_block r.mapping
-                 <= dev.Ppat_gpu.Device.max_threads_per_block)
-            | Ppat_ir.Pat.Host_loop { body; _ }
-            | Ppat_ir.Pat.While_flag { body; _ } ->
-              List.iter step body
-            | Ppat_ir.Pat.Swap _ -> ()
-          in
-          List.iter step app.prog.Ppat_ir.Pat.steps)
+                 <= dev.Ppat_gpu.Device.max_threads_per_block))
+            (Ppat_ir.Pat.launches app.prog))
         (apps ()))
     [ Ppat_gpu.Device.k20c; Ppat_gpu.Device.c2050 ]
 
