@@ -26,9 +26,9 @@
    iteration, before it in the next) is paired correctly.
 
    Independently, the walk tracks *tid taint* of branch conditions and
-   loop bounds: a [Sync] — or a warp shuffle / vote — reached under a
+   loop bounds: a [Sync] — or a warp shuffle — reached under a
    condition that may differ across the block's threads is reported as
-   barrier (resp. warp-primitive) divergence, mirroring the traps the
+   barrier (resp. shuffle) divergence, mirroring the traps the
    execution engines raise dynamically. *)
 
 module Kir = Ppat_kernel.Kir
@@ -266,7 +266,7 @@ let rec ev env path (e : Kir.exp) : rval * bool =
       }
       :: env.cur;
     (Ri Top, true)
-  | Kir.Shfl_down (v, l) | Kir.Shfl_xor (v, l) | Kir.Shfl_idx (v, l) ->
+  | Kir.Shfl_down (v, l) | Kir.Shfl_idx (v, l) ->
     if divergent env then
       env.diverg <-
         Printf.sprintf "warp shuffle under divergent control flow @ %s"
@@ -274,15 +274,6 @@ let rec ev env path (e : Kir.exp) : rval * bool =
         :: env.diverg;
     ignore (ev env path v);
     ignore (ev env path l);
-    (Ri Top, true)
-  | Kir.Ballot p | Kir.Any p | Kir.All p ->
-    if divergent env then
-      env.diverg <-
-        Printf.sprintf "warp vote under divergent control flow @ %s"
-          (path_str path)
-        :: env.diverg;
-    ignore (ev env path p);
-    (* warp-uniform, but warps of one block may still disagree *)
     (Ri Top, true)
 
 (* registers (re)assigned anywhere in [body], for the widening join at

@@ -29,10 +29,9 @@ let buffers_of (k : Kir.kernel) =
       exp c;
       exp a;
       exp b
-    | Kir.Shfl_down (v, l) | Kir.Shfl_xor (v, l) | Kir.Shfl_idx (v, l) ->
+    | Kir.Shfl_down (v, l) | Kir.Shfl_idx (v, l) ->
       exp v;
       exp l
-    | Kir.Ballot p | Kir.Any p | Kir.All p -> exp p
     | Kir.Int _ | Kir.Float _ | Kir.Bool _ | Kir.Reg _ | Kir.Tid _
     | Kir.Bid _ | Kir.Bdim _ | Kir.Gdim _ | Kir.Param _ ->
       ()
@@ -91,10 +90,9 @@ let params_of (k : Kir.kernel) =
       exp c;
       exp a;
       exp b
-    | Kir.Shfl_down (v, l) | Kir.Shfl_xor (v, l) | Kir.Shfl_idx (v, l) ->
+    | Kir.Shfl_down (v, l) | Kir.Shfl_idx (v, l) ->
       exp v;
       exp l
-    | Kir.Ballot p | Kir.Any p | Kir.All p -> exp p
     | Kir.Int _ | Kir.Float _ | Kir.Bool _ | Kir.Reg _ | Kir.Tid _
     | Kir.Bid _ | Kir.Bdim _ | Kir.Gdim _ ->
       ()
@@ -196,13 +194,8 @@ let kernel ?prog (k : Kir.kernel) =
        match the convergence the simulator enforces *)
     | Kir.Shfl_down (v, l) ->
       Printf.sprintf "__shfl_down_sync(0xffffffff, %s, %s)" (exp v) (exp l)
-    | Kir.Shfl_xor (v, l) ->
-      Printf.sprintf "__shfl_xor_sync(0xffffffff, %s, %s)" (exp v) (exp l)
     | Kir.Shfl_idx (v, l) ->
       Printf.sprintf "__shfl_sync(0xffffffff, %s, %s)" (exp v) (exp l)
-    | Kir.Ballot p -> Printf.sprintf "__ballot_sync(0xffffffff, %s)" (exp p)
-    | Kir.Any p -> Printf.sprintf "__any_sync(0xffffffff, %s)" (exp p)
-    | Kir.All p -> Printf.sprintf "__all_sync(0xffffffff, %s)" (exp p)
   in
   let rec stmt ind (s : Kir.stmt) =
     let tab = String.make ind ' ' in

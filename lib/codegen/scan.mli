@@ -8,9 +8,6 @@
     ordinary kernel-IR launches that run on the simulator like any
     generated code. *)
 
-val block_threads : int
-(** Elements scanned per block (one per thread). *)
-
 val exclusive :
   name_prefix:string ->
   src:string ->

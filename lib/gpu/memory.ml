@@ -30,10 +30,6 @@ type t = {
      the lifetime of the memory (the engines pass [Device.l2_slices]; the
      legacy list API models a single unified table) *)
   mutable l2 : l2_slice array;
-  (* bumped on every rebinding event (load/alloc/swap/rebind): compiled
-     launches capture entries, so a staged-kernel cache keyed by kernel
-     digest is only valid while the epoch it was compiled under holds *)
-  mutable epoch : int;
 }
 
 (* line ids are non-negative in practice (byte addr / transaction bytes,
@@ -46,7 +42,6 @@ let create () =
     next_base = 256;
     bufs = Hashtbl.create 32;
     l2 = [||];
-    epoch = 0;
   }
 
 let align n a = (n + a - 1) / a * a
@@ -56,7 +51,6 @@ let install t name elem_bytes data nbytes =
   t.next_base <- base + nbytes;
   let e = { base; elem_bytes; data } in
   Hashtbl.replace t.bufs name e;
-  t.epoch <- t.epoch + 1;
   e
 
 let load t name (buf : Ppat_ir.Host.buf) =
@@ -82,14 +76,9 @@ let mem t name = Hashtbl.mem t.bufs name
 let swap t a b =
   let ea = find t a and eb = find t b in
   Hashtbl.replace t.bufs a eb;
-  Hashtbl.replace t.bufs b ea;
-  t.epoch <- t.epoch + 1
+  Hashtbl.replace t.bufs b ea
 
-let epoch t = t.epoch
-
-let rebind t name e =
-  Hashtbl.replace t.bufs name e;
-  t.epoch <- t.epoch + 1
+let rebind t name e = Hashtbl.replace t.bufs name e
 
 (* forget every cached L2 line, returning the memory to its cold state;
    the slice count is re-fixed by the next cache access, exactly as on a

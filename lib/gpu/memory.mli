@@ -33,12 +33,6 @@ val mem : t -> string -> bool
 val swap : t -> string -> string -> unit
 (** Exchange the storage bound to two names (host-side pointer swap). *)
 
-val epoch : t -> int
-(** Monotonic count of rebinding events (load / alloc / swap / rebind).
-    Compiled launches capture {!entry} values, so anything caching
-    compiled code against this memory must key on the epoch it compiled
-    under: a later epoch may have rebound a name the closure resolved. *)
-
 val rebind : t -> string -> entry -> unit
 (** Bind [name] to an existing entry without allocating — staged-plan
     replay restores the bindings that held when the plan was staged. *)

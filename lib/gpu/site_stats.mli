@@ -6,8 +6,6 @@
 
 type t
 
-val ncols : int
-
 val col_mem_insts : int
 val col_transactions : int
 val col_bytes : int
@@ -17,7 +15,6 @@ val col_smem_conflict_extra : int
 val col_atomics : int
 val col_atomic_serial_extra : int
 val col_divergent_branches : int
-val col_names : string array
 
 val create : int -> t
 (** [create n] makes a zeroed matrix for sites [0 .. n-1] (plus the

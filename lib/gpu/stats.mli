@@ -17,7 +17,7 @@ type t = {
       (** extra serialised shared-memory cycles due to bank conflicts *)
   mutable syncs : float;
   mutable shuffles : float;
-      (** warp shuffle/vote instructions (register exchanges: no shared
+      (** warp shuffle instructions (register exchanges: no shared
           memory, no bank conflicts, no barrier) *)
   mutable divergent_branches : float;
   mutable atomics : float;  (** atomic warp instructions *)

@@ -31,8 +31,6 @@ type sink =
           keep every counter bit-identical to a serial run without sharing
           (or locking) the L2 table. *)
 
-val new_log : unit -> l2_log
-
 val acquire_log : unit -> l2_log
 (** Take a cleared log off the process-wide free list (or allocate one).
     Grown buffers are kept across launches, so steady-state parallel

@@ -165,7 +165,6 @@ let stage_gen ?engine ?sim_jobs ?(attr = false)
       (fun (name, buf) -> (name, Memory.load mem name buf))
       (Host.alloc_all prog params data)
   in
-  let kcache = Staged.kcache () in
   let total_time = ref 0. in
   let kernels = ref 0 in
   let agg = Stats.create () in
@@ -173,33 +172,10 @@ let stage_gen ?engine ?sim_jobs ?(attr = false)
   let records = ref [] in
   let stage_seconds = ref 0. in
   let unstageable = ref None in
-  let exec sl =
-    ignore
-      (run_and_record ~jobs ~attr ~agg ~total_time ~kernels ~records dev mem
-         sl)
+  let run sl =
+    run_and_record ~jobs ~attr ~agg ~total_time ~kernels ~records dev mem sl
   in
-  (* replay already-staged ops during staging (flag-loop iterations past
-     the first): the same walk Staged.replay performs *)
-  let rec exec_op (o : launch_meta Staged.op) =
-    match o with
-    | Staged.Exec { binds; launches; notes = ns } ->
-      List.iter
-        (fun (n, e) ->
-          Memory.rebind mem n e;
-          Memory.zero e)
-        binds;
-      List.iter exec launches;
-      notes := ns @ !notes
-    | Staged.Swap (a, b) -> Memory.swap mem a b
-    | Staged.While { flag; max_iter; body } ->
-      let continue_ = ref true and iters = ref 0 in
-      while !continue_ && !iters < max_iter do
-        Staged.clear_flag mem flag;
-        List.iter exec_op body;
-        continue_ := Staged.read_flag mem flag;
-        incr iters
-      done
-  in
+  let on_notes ns = notes := ns @ !notes in
   (* stage one host step: execute it (this run doubles as the cold run)
      and return the ops that reproduce it *)
   let rec step ~in_while cur_params (s : Pat.step) :
@@ -242,13 +218,12 @@ let stage_gen ?engine ?sim_jobs ?(attr = false)
             in
             match engine with
             | Interp.Reference -> Staged.reference_slaunch l ~meta
-            | Interp.Compiled ->
-              Staged.stage_launch ~cache:kcache dev mem l ~meta)
+            | Interp.Compiled -> Staged.stage_launch dev mem l ~meta)
           lowered.launches
       in
       stage_seconds := !stage_seconds +. (Unix.gettimeofday () -. t0);
-      List.iter exec slaunches;
-      notes := lowered.notes @ !notes;
+      List.iter (fun sl -> ignore (run sl)) slaunches;
+      on_notes lowered.notes;
       [ Staged.Exec { binds; launches = slaunches; notes = lowered.notes } ]
     | Pat.Host_loop { var; count; body } ->
       let n = Ty.extent_value cur_params count in
@@ -267,23 +242,17 @@ let stage_gen ?engine ?sim_jobs ?(attr = false)
       [ Staged.Swap (a, b) ]
     | Pat.While_flag { flag; max_iter; body } ->
       (* stage and execute the first iteration; later iterations replay
-         the staged body — unless it turned out unstageable, in which
-         case every iteration re-stages, which is exactly what a cold
-         run does (fresh temps, fresh closures) *)
-      let continue_ = ref true and iters = ref 0 in
+         the staged body through Staged's op walk — unless it turned out
+         unstageable, in which case every iteration re-stages, which is
+         exactly what a cold run does (fresh temps, fresh closures) *)
       let body_ops = ref None in
-      while !continue_ && !iters < max_iter do
-        Staged.clear_flag mem flag;
-        (match !body_ops with
-         | None ->
-           body_ops :=
-             Some (List.concat_map (step ~in_while:true cur_params) body)
-         | Some ops when !unstageable = None -> List.iter exec_op ops
-         | Some _ ->
-           ignore (List.concat_map (step ~in_while:true cur_params) body));
-        continue_ := Staged.read_flag mem flag;
-        incr iters
-      done;
+      let stage_body () = List.concat_map (step ~in_while:true cur_params) body in
+      Staged.flag_loop mem ~flag ~max_iter (fun () ->
+          match !body_ops with
+          | None -> body_ops := Some (stage_body ())
+          | Some ops when !unstageable = None ->
+            Staged.run_ops ~on_notes mem ~run ops
+          | Some _ -> ignore (stage_body ()));
       [
         Staged.While
           { flag; max_iter; body = Option.value !body_ops ~default:[] };

@@ -160,9 +160,9 @@ val stage :
   Ppat_ir.Host.data ->
   staged_run
 (** Execute the program once with the given [decisions] (this is the
-    cold run) while recording a replayable plan. Within one staging,
-    identical launches (kernel, geometry, launch params, memory epoch)
-    share one compiled closure through the ["kernel_stage"] cache. *)
+    cold run) while recording a replayable plan. A flag loop's body is
+    staged on its first iteration; later iterations run the staged ops
+    through {!Ppat_kernel.Staged.run_ops}. *)
 
 val replay :
   ?sim_jobs:int ->

@@ -59,7 +59,7 @@ type ctx = {
   mutable cmask : int;
       (* active mask of the warp statement currently evaluating, written
          only at evaluation points whose expression statically contains a
-         warp shuffle/vote; those closures compare it against
+         warp shuffle; those closures compare it against
          [exists_mask] to enforce convergence *)
   attr_on : bool;
       (* site attribution enabled for this run. Checked inline in the
@@ -172,9 +172,7 @@ let rec nodes (e : Kir.exp) =
   | Un (_, a) -> 1 + nodes a
   | Select (c, a, b) -> 1 + nodes c + nodes a + nodes b
   | Load_g (_, i) | Load_s (_, i) -> 1 + nodes i
-  | Shfl_down (v, l) | Shfl_xor (v, l) | Shfl_idx (v, l) ->
-    1 + nodes v + nodes l
-  | Ballot p | Any p | All p -> 1 + nodes p
+  | Shfl_down (v, l) | Shfl_idx (v, l) -> 1 + nodes v + nodes l
 
 let rec has_mem (e : Kir.exp) =
   match e with
@@ -185,13 +183,12 @@ let rec has_mem (e : Kir.exp) =
   | Un (_, a) -> has_mem a
   | Select (c, a, b) -> has_mem c || has_mem a || has_mem b
   | Load_g _ | Load_s _ -> true
-  | Shfl_down (v, l) | Shfl_xor (v, l) | Shfl_idx (v, l) ->
+  | Shfl_down (v, l) | Shfl_idx (v, l) ->
     (* validated kernels have pure operands; recurse for the malformed *)
     has_mem v || has_mem l
-  | Ballot p | Any p | All p -> has_mem p
 
-(* shuffle/vote instructions the reference engine counts while evaluating
-   [e] once (one per warp-primitive node) *)
+(* shuffle instructions the reference engine counts while evaluating [e]
+   once (one per shuffle node) *)
 let rec shfl_nodes (e : Kir.exp) =
   match e with
   | Int _ | Float _ | Bool _ | Reg _ | Tid _ | Bid _ | Bdim _ | Gdim _
@@ -201,9 +198,7 @@ let rec shfl_nodes (e : Kir.exp) =
   | Un (_, a) -> shfl_nodes a
   | Select (c, a, b) -> shfl_nodes c + shfl_nodes a + shfl_nodes b
   | Load_g (_, i) | Load_s (_, i) -> shfl_nodes i
-  | Shfl_down (v, l) | Shfl_xor (v, l) | Shfl_idx (v, l) ->
-    1 + shfl_nodes v + shfl_nodes l
-  | Ballot p | Any p | All p -> 1 + shfl_nodes p
+  | Shfl_down (v, l) | Shfl_idx (v, l) -> 1 + shfl_nodes v + shfl_nodes l
 
 (* ----- register typing -----
 
@@ -298,12 +293,10 @@ let infer_types env =
       | None, tb -> tb)
     | Load_g (name, _) -> entry_ty name
     | Load_s (name, _) -> sdecl_ty name
-    | Shfl_down (v, _) | Shfl_xor (v, _) | Shfl_idx (v, _) ->
+    | Shfl_down (v, _) | Shfl_idx (v, _) ->
       (* the shuffled value keeps its type; the lane selector is checked
          strictly by vcompile_exp *)
       ety v
-    | Ballot _ -> Some TI
-    | Any _ | All _ -> Some TB
   in
   let assign r t =
     match rt.(r) with
@@ -349,10 +342,9 @@ let infer_types env =
       exp_reads a;
       exp_reads b
     | Load_g (_, i) | Load_s (_, i) -> exp_reads i
-    | Shfl_down (v, l) | Shfl_xor (v, l) | Shfl_idx (v, l) ->
+    | Shfl_down (v, l) | Shfl_idx (v, l) ->
       exp_reads v;
       exp_reads l
-    | Ballot p | Any p | All p -> exp_reads p
   in
   let rec stmt_reads (s : Kir.stmt) =
     match s with
@@ -408,14 +400,13 @@ let check_definite_assignment (k : Kir.kernel) =
       reads d a;
       reads d b
     | Load_g (_, i) | Load_s (_, i) -> reads d i
-    | Shfl_down (v, l) | Shfl_xor (v, l) | Shfl_idx (v, l) ->
+    | Shfl_down (v, l) | Shfl_idx (v, l) ->
       (* a shuffle reads its value operand at *another* lane; registers in
          it must therefore be assigned on every path (convergence — which
          both engines enforce dynamically — then guarantees every lane has
          executed those assignments) *)
       reads d v;
       reads d l
-    | Ballot p | Any p | All p -> reads d p
   in
   let rec stmt d (s : Kir.stmt) =
     match s with
@@ -474,10 +465,8 @@ let rec cfold env (e : Kir.exp) : cval option =
     | Some v -> Some (CI v)
     | None -> fallback "unbound parameter %S" p)
   | Kir.Reg _ | Kir.Tid _ | Kir.Bid _ | Kir.Load_g _ | Kir.Load_s _ -> None
-  (* warp primitives are lane-dependent by construction: never folded *)
-  | Kir.Shfl_down _ | Kir.Shfl_xor _ | Kir.Shfl_idx _ | Kir.Ballot _
-  | Kir.Any _ | Kir.All _ ->
-    None
+  (* shuffles are lane-dependent by construction: never folded *)
+  | Kir.Shfl_down _ | Kir.Shfl_idx _ -> None
   | Kir.Bin (op, a, b) -> (
     match (cfold env a, cfold env b) with
     | Some (CI x), Some (CI y) -> (
@@ -551,18 +540,14 @@ let popcount m =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go m 0
 
-(* performed by a warp hitting a barrier; the block scheduler in [execute]
-   parks the continuation until every warp of the block has arrived *)
-type _ Effect.t += Sync_eff : unit Effect.t
-
 let bump stats n =
   if n > 0. then stats.Stats.warp_insts <- stats.Stats.warp_insts +. n
 
-(* Arm one evaluation point whose expression contains [ns] warp
-   shuffle/vote nodes: publish the active mask for the convergence check
-   and count the primitives — the reference engine does both while
-   evaluating the first active lane. Statically zero-shuffle points skip
-   this entirely (the common case pays one float compare). *)
+(* Arm one evaluation point whose expression contains [ns] warp shuffle
+   nodes: publish the active mask for the convergence check and count the
+   shuffles — the reference engine does both while evaluating the first
+   active lane. Statically zero-shuffle points skip this entirely (the
+   common case pays one float compare). *)
 let shfl_pre ns ctx mask =
   if ns > 0. then begin
     ctx.cmask <- mask;
@@ -612,10 +597,13 @@ let ioff = function VIs o | VIr o | VIc o -> o | VTx | VTy | VTz -> 0
 let farr ctx = function VFs _ -> ctx.vf_slab | VFr _ -> ctx.freg | VFc _ -> ctx.vf_const
 let foff = function VFs o | VFr o | VFc o -> o
 
-(* Lane loops are tail-recursive on ints rather than while-loops over
-   refs: without flambda every [ref] a closure captures is a real heap
-   cell. Every maker resolves its operand rows once per node call, then
-   runs a branch-free (bar the mask test) unboxed loop. *)
+(* Lane loops are local tail-recursive functions over the mask bits. Each
+   [let rec go] still allocates its closure (8 words) once per node call,
+   and [for] loops over the lanes would cut the engine's words per warp
+   instruction several-fold; they were measured slower on most of the
+   bench suite, so the recursion stays for speed, not for allocation.
+   Every maker resolves its operand rows once per node call, then runs a
+   branch-free (bar the mask test) unboxed loop. *)
 
 let v_ibin op sa sb d : vnode =
  fun ctx m ->
@@ -1456,40 +1444,6 @@ let v_shfl_f kname ws src_of sa sl d : vnode =
   in
   go m 0
 
-(* votes: one uniform result over the existing lanes, broadcast to every
-   active lane's row entry. [kind] selects ballot (the lane-bit mask),
-   any, or all — canonical 0/1 for the boolean pair. *)
-type vote_kind = Vballot | Vany | Vall
-
-let v_vote kname kind sp d : vnode =
- fun ctx m ->
-  if ctx.cmask <> ctx.exists_mask then
-    trap "kernel %s: warp vote under divergent control flow" kname;
-  let p = iarr ctx sp and dst = ctx.vi_slab in
-  let po = ioff sp in
-  let rec scan m l ballot all_ =
-    if m = 0 then (ballot, all_)
-    else if m land 1 <> 0 then
-      if Array.unsafe_get p (po + l) <> 0 then
-        scan (m lsr 1) (l + 1) (ballot lor (1 lsl l)) all_
-      else scan (m lsr 1) (l + 1) ballot false
-    else scan (m lsr 1) (l + 1) ballot all_
-  in
-  let ballot, all_ = scan ctx.exists_mask 0 0 true in
-  let r =
-    match kind with
-    | Vballot -> ballot
-    | Vany -> if ballot <> 0 then 1 else 0
-    | Vall -> if all_ then 1 else 0
-  in
-  let rec go m l =
-    if m <> 0 then begin
-      if m land 1 <> 0 then Array.unsafe_set dst (d + l) r;
-      go (m lsr 1) (l + 1)
-    end
-  in
-  go m 0
-
 (* ----- vector compilation ----- *)
 
 let new_vstate env watch =
@@ -1558,9 +1512,8 @@ let rec loads kind name (e : Kir.exp) =
   | Kir.Un (_, a) -> loads kind name a
   | Kir.Select (c, a, b) ->
     loads kind name c || loads kind name a || loads kind name b
-  | Kir.Shfl_down (v, l) | Kir.Shfl_xor (v, l) | Kir.Shfl_idx (v, l) ->
+  | Kir.Shfl_down (v, l) | Kir.Shfl_idx (v, l) ->
     loads kind name v || loads kind name l
-  | Kir.Ballot p | Kir.Any p | Kir.All p -> loads kind name p
   | Kir.Int _ | Kir.Float _ | Kir.Bool _ | Kir.Reg _ | Kir.Tid _ | Kir.Bid _
   | Kir.Bdim _ | Kir.Gdim _ | Kir.Param _ ->
     false
@@ -1716,11 +1669,7 @@ let rec vcompile_exp env (st : vstate) (e : Kir.exp) : vtexp =
         vemit st (v_load_si name slot len ms sidx d);
         VI (VIs d))
     | Kir.Shfl_down (v, l) -> vshfl env st v l (fun lane d -> lane + d)
-    | Kir.Shfl_xor (v, l) -> vshfl env st v l (fun lane m -> lane lxor m)
-    | Kir.Shfl_idx (v, l) -> vshfl env st v l (fun _ src -> src)
-    | Kir.Ballot p -> VI (VIs (vvote env st p Vballot))
-    | Kir.Any p -> VB (VIs (vvote env st p Vany))
-    | Kir.All p -> VB (VIs (vvote env st p Vall)))
+    | Kir.Shfl_idx (v, l) -> vshfl env st v l (fun _ src -> src))
 
 (* the reference engine's loose coercions: an index or lane selector may
    be a boolean (0/1), a condition may be an integer (<> 0) *)
@@ -1754,13 +1703,6 @@ and vshfl env (st : vstate) v l src_of : vtexp =
     let d = valloc_f st in
     vemit st (v_shfl_f kname env.ws src_of sa sl d);
     VF (VFs d)
-
-and vvote env (st : vstate) p kind : int =
-  if has_mem p then fallback "warp-primitive operand reads memory";
-  let sp = vbool env st p in
-  let d = valloc_i st in
-  vemit st (v_vote env.k.Kir.kname kind sp d);
-  d
 
 let vfloat env st e =
   match vcompile_exp env st e with
@@ -1877,7 +1819,7 @@ let checked pre fin conflict kinds nmem : vnode =
 
 (* Close a straight-line statement: its operand nodes, then [fin] — the
    register copy, store or atomic. [n] is the reference engine's
-   instruction count for the statement, [ns] its warp-primitive count.
+   instruction count for the statement, [ns] its shuffle count.
    [idx] is the write's index row, checked against the watched loads;
    [atomic] wraps the statement in the contention accounting of one warp
    atomic instruction. *)
@@ -2019,11 +1961,7 @@ let rec compile_stmt env (s : Kir.stmt) (a : Site.ann) : cstmt =
   | Kir.Sync, _ ->
     let kname = env.k.Kir.kname in
     fun ctx mask ->
-      if mask <> ctx.exists_mask then
-        trap "kernel %s: __syncthreads under divergent control flow" kname;
-      ctx.stats.Stats.syncs <- ctx.stats.Stats.syncs +. 1.;
-      ctx.stats.Stats.warp_insts <- ctx.stats.Stats.warp_insts +. 1.;
-      Effect.perform Sync_eff
+      Barrier.sync kname ctx.stats ~converged:(mask = ctx.exists_mask)
   | Kir.Malloc_event, _ ->
     fun ctx mask ->
       ctx.stats.Stats.mallocs <-
@@ -2307,42 +2245,16 @@ let execute ?(jobs = 1) ?attr dev (c : t) : Stats.t =
   let run_block (sf, si, slots) bxi byi bzi =
     Array.iter (fun a -> Array.fill a 0 (Array.length a) 0.) sf;
     Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) si;
-    let waiting = ref [] in
-    let handler =
-      {
-        Effect.Deep.retc = (fun () -> ());
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Sync_eff ->
-              Some
-                (fun (cont : (a, unit) Effect.Deep.continuation) ->
-                  waiting :=
-                    (fun () -> Effect.Deep.continue cont ()) :: !waiting)
-            | _ -> None);
-      }
-    in
-    for w = 0 to warps_per_block - 1 do
-      let ctx = slots.(w) in
-      if ctx.exists_mask <> 0 then begin
-        Array.fill ctx.ireg 0 (Array.length ctx.ireg) 0;
-        Array.fill ctx.freg 0 (Array.length ctx.freg) 0.;
-        ctx.bidx <- bxi;
-        ctx.bidy <- byi;
-        ctx.bidz <- bzi;
-        Effect.Deep.match_with
-          (fun () -> run_body c.c_body ctx ctx.exists_mask)
-          () handler
-      end
-    done;
-    (* a resumed continuation still runs under its original handler, so a
-       subsequent Sync lands back in [waiting] *)
-    while !waiting <> [] do
-      let batch = List.rev !waiting in
-      waiting := [];
-      List.iter (fun resume -> resume ()) batch
-    done
+    Barrier.run_block warps_per_block (fun w ->
+        let ctx = slots.(w) in
+        if ctx.exists_mask <> 0 then begin
+          Array.fill ctx.ireg 0 (Array.length ctx.ireg) 0;
+          Array.fill ctx.freg 0 (Array.length ctx.freg) 0.;
+          ctx.bidx <- bxi;
+          ctx.bidy <- byi;
+          ctx.bidz <- bzi;
+          run_body c.c_body ctx ctx.exists_mask
+        end)
   in
   let nblocks = gx * gy * gz in
   if jobs <= 1 || nblocks <= 1 then begin

@@ -132,14 +132,9 @@ let write_smem name sa idx v =
     else a.(idx) <- as_int v
   | SF _, w | SI _, w -> trap "shared store of %s into %s" (v_name w) name
 
-(* ----- sync effect ----- *)
-
-type _ Effect.t += Sync_eff : unit Effect.t
-
 (* ----- the interpreter ----- *)
 
-(* the launch checks every engine and the staged path apply before
-   simulating *)
+(* the launch checks both engines apply before simulating *)
 let validate (dev : Device.t) (l : Kir.launch) =
   let k = l.kernel in
   let bx, by, bz = l.block in
@@ -213,7 +208,7 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
       | None -> trap "kernel %s: undeclared shared array %S" k.kname name
     in
     (* the active mask of the warp statement currently executing, armed by
-       [group]; warp shuffles/votes consult it to enforce convergence *)
+       [group]; warp shuffles consult it to enforce convergence *)
     let cur_mask = ref exists in
     let require_converged what =
       if not (Array.for_all2 (fun m e -> m = e) !cur_mask exists) then
@@ -273,29 +268,7 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
         record `S idx;
         read_smem name sa idx
       | Kir.Shfl_down (v, l) -> shfl lane counting v l (fun lane d -> lane + d)
-      | Kir.Shfl_xor (v, l) -> shfl lane counting v l (fun lane m -> lane lxor m)
       | Kir.Shfl_idx (v, l) -> shfl lane counting v l (fun _ src -> src)
-      | Kir.Ballot p ->
-        vote lane counting p;
-        let m = ref 0 in
-        for l = 0 to ws - 1 do
-          if exists.(l) && as_bool (eval l false p) then m := !m lor (1 lsl l)
-        done;
-        VI !m
-      | Kir.Any p ->
-        vote lane counting p;
-        let r = ref false in
-        for l = 0 to ws - 1 do
-          if exists.(l) && as_bool (eval l false p) then r := true
-        done;
-        VB !r
-      | Kir.All p ->
-        vote lane counting p;
-        let r = ref true in
-        for l = 0 to ws - 1 do
-          if exists.(l) && not (as_bool (eval l false p)) then r := false
-        done;
-        VB !r
     (* a shuffle is one warp instruction exchanging registers: no memory
        slots, no bank conflicts, no barrier. The value operand is
        evaluated at the calling lane first (counting its nodes once and
@@ -312,15 +285,6 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
       let sel = as_int (eval lane counting l) in
       let src = src_of lane sel in
       if src >= 0 && src < ws && exists.(src) then eval src false v else own
-    and vote lane counting p =
-      require_converged "warp vote";
-      if counting then begin
-        count_inst ();
-        stats.shuffles <- stats.shuffles +. 1.;
-        (* count the predicate's nodes exactly once; the cross-lane fold
-           below re-evaluates it per lane without counting *)
-        ignore (eval lane counting p)
-      end
     in
     (* run [f] per active lane as one warp instruction group whose memory
        slots belong to [sites] (slot s -> sites.(s), see {!Site}) *)
@@ -337,6 +301,17 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
       done;
       Warp_access.flush acc
     in
+    (* a register write lands only after every active lane evaluated its
+       value, so a shuffle reads its source lane's register before that
+       lane overwrites it — CUDA's rule, and the compiled engine's *)
+    let pending = Array.make ws VU in
+    let set_reg sites mask r value =
+      group sites mask (fun lane counting ->
+          pending.(lane) <- value lane counting);
+      for lane = 0 to ws - 1 do
+        if mask.(lane) then regs.(lane).(r) <- pending.(lane)
+      done
+    in
     let any mask = Array.exists (fun x -> x) mask in
     let ann_mismatch () =
       trap "kernel %s: internal error: site annotation shape mismatch"
@@ -347,8 +322,7 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
     and stmt mask (s : Kir.stmt) (a : Site.ann) =
       match s, a with
       | Kir.Set (r, e), Site.A_simple sites ->
-        group sites mask (fun lane counting ->
-            regs.(lane).(r) <- eval lane counting e)
+        set_reg sites mask r (fun lane counting -> eval lane counting e)
       | Kir.Store_g (name, i, e), Site.A_simple sites ->
         let entry = Memory.find mem name in
         group sites mask (fun lane counting ->
@@ -413,8 +387,7 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
         if bf && e <> [] then exec fallthrough e ea
       | Kir.For { reg; lo; hi; step; body }, Site.A_for (los, his, sts, bsite, ba)
         ->
-        group los mask (fun lane counting ->
-            regs.(lane).(reg) <- eval lane counting lo);
+        set_reg los mask reg (fun lane counting -> eval lane counting lo);
         let active = Array.copy mask in
         let iters = ref 0 in
         let continue_ = ref true in
@@ -433,10 +406,10 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
               Warp_access.divergent acc bsite;
             Array.blit next 0 active 0 ws;
             exec active body ba;
-            group sts active (fun lane counting ->
+            set_reg sts active reg (fun lane counting ->
                 let s = eval lane counting step in
                 if counting then count_inst ();
-                regs.(lane).(reg) <- eval_bin Ppat_ir.Exp.Add regs.(lane).(reg) s);
+                eval_bin Ppat_ir.Exp.Add regs.(lane).(reg) s);
             incr iters;
             if !iters > max_loop_iters then
               trap "kernel %s: loop exceeded %d iterations" k.kname
@@ -464,15 +437,8 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
           end
         done
       | Kir.Sync, Site.A_none ->
-        let full =
-          Array.for_all2 (fun m e -> m = e) mask exists
-        in
-        if not full then
-          trap "kernel %s: __syncthreads under divergent control flow"
-            k.kname;
-        stats.syncs <- stats.syncs +. 1.;
-        count_inst ();
-        Effect.perform Sync_eff
+        Barrier.sync k.kname stats
+          ~converged:(Array.for_all2 (fun m e -> m = e) mask exists)
       | Kir.Malloc_event, Site.A_none ->
         let active =
           Array.fold_left (fun n m -> if m then n + 1 else n) 0 mask
@@ -484,36 +450,9 @@ let run_reference ?(jobs = 1) ?attr (dev : Device.t) (mem : Memory.t)
     if n_exist > 0 then exec (Array.copy exists) k.body anns
   in
 
-    (* block scheduler: warps are fibers; Sync suspends until all alive
-       warps of the block reach the barrier *)
     let smem = make_smem () in
-    let waiting = ref [] in
-    let handler =
-      {
-        Effect.Deep.retc = (fun () -> ());
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Sync_eff ->
-              Some
-                (fun (cont : (a, unit) Effect.Deep.continuation) ->
-                  waiting := (fun () -> Effect.Deep.continue cont ()) :: !waiting)
-            | _ -> None);
-      }
-    in
-    for w = 0 to warps_per_block - 1 do
-      Effect.Deep.match_with
-        (fun () -> exec_warp ~smem ~lane0:(w * ws))
-        () handler
-    done;
-    (* a resumed continuation still runs under its original handler, so a
-       subsequent Sync lands back in [waiting] *)
-    while !waiting <> [] do
-      let batch = List.rev !waiting in
-      waiting := [];
-      List.iter (fun resume -> resume ()) batch
-    done
+    Barrier.run_block warps_per_block (fun w ->
+        exec_warp ~smem ~lane0:(w * ws))
   in
   let nblocks = gx * gy * gz in
   (* linear block ids walk the grid x-innermost, matching the serial
@@ -563,10 +502,23 @@ let default_jobs () =
    serially to stay deterministic (and identical to jobs = 1) *)
 let effective_jobs ~jobs (l : Kir.launch) =
   if jobs <= 1 then 1
-  else if (Kir.features l.kernel).f_global_atomics then (
+  else if Kir.has_global_atomics l.kernel then (
     Ppat_metrics.Metrics.incr Engine_metrics.parallel_fallbacks;
     1)
   else jobs
+
+(* the compiled engine's way in, for cold runs and staging alike: a
+   rejected launch is counted here and left to the reference engine *)
+let compile_launch dev mem (l : Kir.launch) =
+  validate dev l;
+  match
+    Ppat_metrics.Metrics.span ~cat:"staging" "compile launch" (fun () ->
+        Compile.compile dev mem l)
+  with
+  | Ok c -> Ok c
+  | Error reason ->
+    Ppat_metrics.Metrics.incr Engine_metrics.fallbacks;
+    Error reason
 
 let run ?engine ?jobs ?attr (dev : Device.t) (mem : Memory.t)
     (l : Kir.launch) : Stats.t =
@@ -580,12 +532,6 @@ let run ?engine ?jobs ?attr (dev : Device.t) (mem : Memory.t)
   match engine with
   | Reference -> run_reference ~jobs ?attr dev mem l
   | Compiled -> (
-    validate dev l;
-    match
-      Ppat_metrics.Metrics.span ~cat:"staging" "compile launch" (fun () ->
-          Compile.compile dev mem l)
-    with
+    match compile_launch dev mem l with
     | Ok c -> Compile.execute ~jobs ?attr dev c
-    | Error _ ->
-      Ppat_metrics.Metrics.incr Engine_metrics.fallbacks;
-      run_reference ~jobs ?attr dev mem l)
+    | Error _ -> run_reference ~jobs ?attr dev mem l)

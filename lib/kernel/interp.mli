@@ -59,12 +59,18 @@ val effective_jobs : jobs:int -> Kir.launch -> int
     {!run} and the staged-replay path ({!Staged}) route through this so
     the gating policy and its counters live in one place. *)
 
-val validate : Ppat_gpu.Device.t -> Kir.launch -> unit
-(** The launch checks applied before any simulation: raises {!Trap} on an
-    empty grid or block ("empty launch") and on a block larger than the
-    device's thread limit. {!run} (either engine) and
-    {!Staged.stage_launch} both apply it, so a bad launch traps with the
-    same message on every path. *)
+val compile_launch :
+  Ppat_gpu.Device.t ->
+  Ppat_gpu.Memory.t ->
+  Kir.launch ->
+  (Compile.t, string) result
+(** The compiled engine's one way in: check the launch geometry, raising
+    {!Trap} on an empty grid or block ("empty launch") or a block larger
+    than the device's thread limit, exactly as the reference engine
+    does; then {!Compile.compile} it under the ["compile launch"] metrics
+    span. A rejection counts one [engine.fallbacks] and returns its
+    reason; the caller runs the launch on the reference engine. {!run}
+    and {!Staged.stage_launch} both go through here. *)
 
 val run :
   ?engine:engine ->

@@ -16,19 +16,14 @@ type exp =
   | Select of exp * exp * exp
   | Load_g of string * exp
   | Load_s of string * exp
-  (* warp primitives: cross-lane register exchange and votes. The value
-     (resp. predicate) operand is re-evaluated at the source lane, so it
-     must be memory-free and shuffle-free — [validate] enforces this.
-     A source lane outside [0, warp_size) or past the block edge yields
-     the calling lane's own value, and both engines trap when a shuffle
-     or vote executes under divergent control flow (active mask narrower
-     than the warp's full lane set). *)
+  (* warp shuffles: cross-lane register exchange. The value operand is
+     re-evaluated at the source lane, so it must be memory-free and
+     shuffle-free — [validate] enforces this. A source lane outside
+     [0, warp_size) or past the block edge yields the calling lane's own
+     value, and both engines trap when a shuffle executes under divergent
+     control flow (active mask narrower than the warp's full lane set). *)
   | Shfl_down of exp * exp  (* value, lane delta *)
-  | Shfl_xor of exp * exp  (* value, lane mask *)
   | Shfl_idx of exp * exp  (* value, absolute source lane *)
-  | Ballot of exp
-  | Any of exp
-  | All of exp
 
 type stmt =
   | Set of int * exp
@@ -110,52 +105,16 @@ let blocks l =
 
 let geometry l : Ppat_gpu.Timing.geometry = { grid = l.grid; block = l.block }
 
-(* One traversal classifying everything downstream consumers care about:
-   the parallel scheduler (global atomics force serial simulation), the
-   race checker (shuffles/votes have warp-convergence obligations) and
-   cache keys / reporting. Kept as a single fold so the classifications
-   cannot drift apart. *)
-type features = {
-  f_global_atomics : bool;
-  f_shuffles : bool;
-  f_votes : bool;
-  f_device_malloc : bool;
-}
-
-let no_features =
-  {
-    f_global_atomics = false;
-    f_shuffles = false;
-    f_votes = false;
-    f_device_malloc = false;
-  }
-
-let features k =
-  let rec exp acc = function
-    | Int _ | Float _ | Bool _ | Reg _ | Tid _ | Bid _ | Bdim _ | Gdim _
-    | Param _ ->
-      acc
-    | Bin (_, a, b) | Cmp (_, a, b) -> exp (exp acc a) b
-    | Un (_, a) | Load_g (_, a) | Load_s (_, a) -> exp acc a
-    | Select (c, a, b) -> exp (exp (exp acc c) a) b
-    | Shfl_down (a, b) | Shfl_xor (a, b) | Shfl_idx (a, b) ->
-      exp (exp { acc with f_shuffles = true } a) b
-    | Ballot p | Any p | All p -> exp { acc with f_votes = true } p
-  and stmt acc = function
-    | Set (_, e) -> exp acc e
-    | Store_g (_, i, v) | Store_s (_, i, v) -> exp (exp acc i) v
-    | Atomic_add_g (_, i, v) ->
-      exp (exp { acc with f_global_atomics = true } i) v
-    | Atomic_add_ret { idx; value; _ } ->
-      exp (exp { acc with f_global_atomics = true } idx) value
-    | If (c, t, e) -> stmts (stmts (exp acc c) t) e
-    | For { lo; hi; step; body; _ } ->
-      stmts (exp (exp (exp acc lo) hi) step) body
-    | While (c, body) -> stmts (exp acc c) body
-    | Sync -> acc
-    | Malloc_event -> { acc with f_device_malloc = true }
-  and stmts acc l = List.fold_left stmt acc l in
-  stmts no_features k.body
+(* global atomics let blocks observe each other through the atomics'
+   results, so the parallel scheduler runs such launches serially *)
+let has_global_atomics k =
+  let rec stmt = function
+    | Atomic_add_g _ | Atomic_add_ret _ -> true
+    | If (_, t, e) -> List.exists stmt t || List.exists stmt e
+    | For { body; _ } | While (_, body) -> List.exists stmt body
+    | Set _ | Store_g _ | Store_s _ | Sync | Malloc_event -> false
+  in
+  List.exists stmt k.body
 
 let validate k =
   let errors = ref [] in
@@ -167,11 +126,11 @@ let validate k =
     if not (List.exists (fun d -> String.equal d.sname name) k.smem) then
       err "undeclared shared array %S" name
   in
-  (* warp-primitive operands are re-evaluated at the source lane, so they
-     must be deterministic pure lane functions: no memory reads (another
-     lane may have raced the location) and no nested warp primitives (the
-     cross-lane re-evaluation would nest exchanges with no defined
-     order). Registers, thread indices, params and arithmetic are fine. *)
+  (* shuffle operands are re-evaluated at the source lane, so they must be
+     deterministic pure lane functions: no memory reads (another lane may
+     have raced the location) and no nested shuffles (the cross-lane
+     re-evaluation would nest exchanges with no defined order).
+     Registers, thread indices, params and arithmetic are fine. *)
   let rec warp_pure what = function
     | Int _ | Float _ | Bool _ | Reg _ | Tid _ | Bid _ | Bdim _ | Gdim _
     | Param _ ->
@@ -185,7 +144,7 @@ let validate k =
       warp_pure what a;
       warp_pure what b
     | Load_g _ | Load_s _ -> err "%s operand reads memory" what
-    | Shfl_down _ | Shfl_xor _ | Shfl_idx _ | Ballot _ | Any _ | All _ ->
+    | Shfl_down _ | Shfl_idx _ ->
       err "%s operand nests another warp primitive" what
   in
   let rec exp = function
@@ -204,14 +163,11 @@ let validate k =
     | Load_s (s, i) ->
       smem s;
       exp i
-    | Shfl_down (v, l) | Shfl_xor (v, l) | Shfl_idx (v, l) ->
+    | Shfl_down (v, l) | Shfl_idx (v, l) ->
       warp_pure "shuffle" v;
       warp_pure "shuffle" l;
       exp v;
       exp l
-    | Ballot p | Any p | All p ->
-      warp_pure "vote" p;
-      exp p
   in
   let rec stmt = function
     | Set (r, e) ->
@@ -294,14 +250,8 @@ let rec pp_exp names ppf = function
   | Shfl_down (v, d) ->
     Format.fprintf ppf "__shfl_down_sync(%a, %a)" (pp_exp names) v
       (pp_exp names) d
-  | Shfl_xor (v, m) ->
-    Format.fprintf ppf "__shfl_xor_sync(%a, %a)" (pp_exp names) v
-      (pp_exp names) m
   | Shfl_idx (v, s) ->
     Format.fprintf ppf "__shfl_sync(%a, %a)" (pp_exp names) v (pp_exp names) s
-  | Ballot p -> Format.fprintf ppf "__ballot_sync(%a)" (pp_exp names) p
-  | Any p -> Format.fprintf ppf "__any_sync(%a)" (pp_exp names) p
-  | All p -> Format.fprintf ppf "__all_sync(%a)" (pp_exp names) p
 
 let rec pp_stmt names ppf = function
   | Set (r, e) ->
@@ -373,11 +323,7 @@ let rec abstract_exp : exp -> exp = function
   | Load_g (b, i) -> Load_g (b, abstract_exp i)
   | Load_s (s, i) -> Load_s (s, abstract_exp i)
   | Shfl_down (v, l) -> Shfl_down (abstract_exp v, abstract_exp l)
-  | Shfl_xor (v, l) -> Shfl_xor (abstract_exp v, abstract_exp l)
   | Shfl_idx (v, l) -> Shfl_idx (abstract_exp v, abstract_exp l)
-  | Ballot p -> Ballot (abstract_exp p)
-  | Any p -> Any (abstract_exp p)
-  | All p -> All (abstract_exp p)
 
 let rec abstract_stmt : stmt -> stmt = function
   | Set (r, e) -> Set (r, abstract_exp e)

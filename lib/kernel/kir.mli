@@ -27,17 +27,12 @@ type exp =
   | Load_s of string * exp  (** shared-memory element read *)
   | Shfl_down of exp * exp
       (** [Shfl_down (v, d)]: the value of [v] as evaluated at lane
-          [lane + d]. Warp primitives require the full warp converged
-          (both engines trap otherwise); an out-of-range or non-existent
-          source lane yields the calling lane's own value. The operands
-          must be memory- and shuffle-free ({!validate}). *)
-  | Shfl_xor of exp * exp  (** source lane is [lane lxor mask] *)
+          [lane + d]. Shuffles require the full warp converged (both
+          engines trap otherwise); an out-of-range or non-existent source
+          lane yields the calling lane's own value. The operands must be
+          memory- and shuffle-free ({!validate}). Every lane reads its
+          source before any lane's register write lands, as in CUDA. *)
   | Shfl_idx of exp * exp  (** source lane given absolutely *)
-  | Ballot of exp
-      (** bit mask (lane [i] → bit [i]) of the predicate over the warp's
-          existing lanes; same convergence/purity rules as shuffles *)
-  | Any of exp  (** true iff the predicate holds on some existing lane *)
-  | All of exp  (** true iff the predicate holds on every existing lane *)
 
 type stmt =
   | Set of int * exp
@@ -104,21 +99,10 @@ val blocks : launch -> int
 
 val geometry : launch -> Ppat_gpu.Timing.geometry
 
-type features = {
-  f_global_atomics : bool;
-      (** blocks observe each other through atomic results, so the
-          parallel simulator runs such kernels serially *)
-  f_shuffles : bool;  (** any [Shfl_down]/[Shfl_xor]/[Shfl_idx] *)
-  f_votes : bool;  (** any [Ballot]/[Any]/[All] *)
-  f_device_malloc : bool;  (** any [Malloc_event] *)
-}
-
-val no_features : features
-
-val features : kernel -> features
-(** Classify the kernel in one traversal. All downstream consumers
-    (parallel-fallback policy, race checker, reporting) read this one
-    fold so their notions of "uses X" cannot drift apart. *)
+val has_global_atomics : kernel -> bool
+(** Whether the kernel issues [Atomic_add_g] or [Atomic_add_ret]: its
+    blocks observe each other through the atomics' results, so the
+    parallel simulator runs it serially ({!Interp.effective_jobs}). *)
 
 val validate : kernel -> (unit, string) result
 (** Checks register slots are within [nregs] (including the result

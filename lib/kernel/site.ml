@@ -89,13 +89,12 @@ let annotate (k : Kir.kernel) : info array * ann list =
     | Kir.Load_s (s, i) ->
       let acc = exp_sites path acc i in
       fresh Load_shared s path :: acc
-    | Kir.Shfl_down (v, l) | Kir.Shfl_xor (v, l) | Kir.Shfl_idx (v, l) ->
-      (* warp primitives touch no memory and their operands are
-         validated memory-free; recurse anyway so malformed kernels
-         still number deterministically (value, then lane selector) *)
+    | Kir.Shfl_down (v, l) | Kir.Shfl_idx (v, l) ->
+      (* shuffles touch no memory and their operands are validated
+         memory-free; recurse anyway so malformed kernels still number
+         deterministically (value, then lane selector) *)
       let acc = exp_sites path acc v in
       exp_sites path acc l
-    | Kir.Ballot p | Kir.Any p | Kir.All p -> exp_sites path acc p
   in
   let sites_of path es =
     let acc = List.fold_left (fun acc e -> exp_sites path acc e) [] es in

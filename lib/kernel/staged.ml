@@ -9,8 +9,6 @@
    exactly like a cold run over the same addresses. *)
 
 open Ppat_gpu
-module Metrics = Ppat_metrics.Metrics
-module Lru = Ppat_metrics.Lru
 
 type exec = Closure of Compile.t | Fallback of string
 
@@ -39,37 +37,11 @@ type 'm plan = {
 
 (* ----- staging ----- *)
 
-type kcache = (Compile.t, string) result Lru.t
-
-let kcache ?(capacity = 128) () : kcache = Lru.create ~capacity "kernel_stage"
-
-let launch_digest (l : Kir.launch) =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string (l.Kir.kernel, l.Kir.grid, l.Kir.block, l.Kir.kparams) []))
-
-let stage_launch ?cache dev mem (l : Kir.launch) ~meta =
-  Interp.validate dev l;
-  let compiled =
-    let doit () =
-      Metrics.span ~cat:"staging" "compile launch" (fun () ->
-          Compile.compile dev mem l)
-    in
-    match cache with
-    | None -> doit ()
-    | Some c ->
-      (* the epoch pins the memory image the closure was compiled under:
-         any rebind since makes the cached closure unusable *)
-      let key = Printf.sprintf "%s@%d" (launch_digest l) (Memory.epoch mem) in
-      snd (Lru.find_or_add c key doit)
-  in
+let stage_launch dev mem (l : Kir.launch) ~meta =
   let exec =
-    match compiled with
+    match Interp.compile_launch dev mem l with
     | Ok c -> Closure c
-    | Error reason ->
-      (* same accounting a cold Interp.run would do on rejection *)
-      Metrics.incr Engine_metrics.fallbacks;
-      Fallback reason
+    | Error reason -> Fallback reason
   in
   { launch = l; exec; meta }
 
@@ -87,15 +59,37 @@ let run_slaunch ?(jobs = 1) ?attr dev mem (sl : _ slaunch) =
     let jobs = Interp.effective_jobs ~jobs sl.launch in
     Compile.execute ~jobs ?attr dev c
 
-let read_flag mem flag =
-  match (Memory.find mem flag).Memory.data with
-  | Ppat_ir.Host.I a -> a.(0) <> 0
-  | Ppat_ir.Host.F a -> a.(0) <> 0.
+(* the flag is looked up afresh each time: the body may rebind its name *)
+let flag_loop mem ~flag ~max_iter body =
+  let continue_ = ref true and iters = ref 0 in
+  while !continue_ && !iters < max_iter do
+    (match (Memory.find mem flag).Memory.data with
+     | Ppat_ir.Host.I a -> a.(0) <- 0
+     | Ppat_ir.Host.F a -> a.(0) <- 0.);
+    body ();
+    (continue_ :=
+       match (Memory.find mem flag).Memory.data with
+       | Ppat_ir.Host.I a -> a.(0) <> 0
+       | Ppat_ir.Host.F a -> a.(0) <> 0.);
+    incr iters
+  done
 
-let clear_flag mem flag =
-  match (Memory.find mem flag).Memory.data with
-  | Ppat_ir.Host.I a -> a.(0) <- 0
-  | Ppat_ir.Host.F a -> a.(0) <- 0.
+let rec run_ops ~on_notes mem ~run ops =
+  List.iter
+    (function
+      | Exec { binds; launches; notes } ->
+        List.iter
+          (fun (n, e) ->
+            Memory.rebind mem n e;
+            Memory.zero e)
+          binds;
+        List.iter (fun sl -> ignore (run sl)) launches;
+        on_notes notes
+      | Swap (a, b) -> Memory.swap mem a b
+      | While { flag; max_iter; body } ->
+        flag_loop mem ~flag ~max_iter (fun () ->
+            run_ops ~on_notes mem ~run body))
+    ops
 
 let replay ?(on_notes = fun _ -> ()) (plan : 'm plan) ~contents
     ~(run : 'm slaunch -> Stats.t) =
@@ -123,25 +117,5 @@ let replay ?(on_notes = fun _ -> ()) (plan : 'm plan) ~contents
   | Some m -> Error m
   | None ->
     Memory.reset_cache plan.mem;
-    let rec op o =
-      match o with
-      | Exec { binds; launches; notes } ->
-        List.iter
-          (fun (n, e) ->
-            Memory.rebind plan.mem n e;
-            Memory.zero e)
-          binds;
-        List.iter (fun sl -> ignore (run sl)) launches;
-        on_notes notes
-      | Swap (a, b) -> Memory.swap plan.mem a b
-      | While { flag; max_iter; body } ->
-        let continue_ = ref true and iters = ref 0 in
-        while !continue_ && !iters < max_iter do
-          clear_flag plan.mem flag;
-          List.iter op body;
-          continue_ := read_flag plan.mem flag;
-          incr iters
-        done
-    in
-    List.iter op plan.ops;
+    run_ops ~on_notes plan.mem ~run plan.ops;
     Ok ()

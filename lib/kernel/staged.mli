@@ -59,28 +59,16 @@ type 'm plan = {
 
 (** {2 Staging helpers} *)
 
-type kcache
-(** Within-staging compile cache: closure trees keyed by (kernel digest,
-    geometry, launch params, memory epoch), so a flag loop or a repeated
-    identical launch stages its kernel once. Hits/misses surface in
-    {!Ppat_metrics.Metrics} under cache label ["kernel_stage"]. *)
-
-val kcache : ?capacity:int -> unit -> kcache
-
-val launch_digest : Kir.launch -> string
-(** Structural digest of kernel + geometry + launch params. *)
-
 val stage_launch :
-  ?cache:kcache ->
   Ppat_gpu.Device.t ->
   Ppat_gpu.Memory.t ->
   Kir.launch ->
   meta:'m ->
   'm slaunch
-(** Validate one launch ({!Interp.validate}: traps on an empty or
-    oversized launch) and compile it against the staging memory (through
-    [cache] when given). Compile rejections become [Fallback] with the
-    engine's fallback accounting, mirroring what {!Interp.run} would do. *)
+(** Validate one launch and compile it against the staging memory
+    through {!Interp.compile_launch} (traps on an empty or oversized
+    launch). A rejection becomes [Fallback], counted exactly as a cold
+    {!Interp.run} counts it. *)
 
 val reference_slaunch : Kir.launch -> meta:'m -> 'm slaunch
 (** A plan entry that always replays on the reference engine — used when
@@ -98,10 +86,23 @@ val run_slaunch :
 (** Execute one staged launch (closure tree or reference fallback),
     applying the global-atomics serial gate of {!Interp.effective_jobs}. *)
 
-val read_flag : Ppat_gpu.Memory.t -> string -> bool
-(** Whether the flag buffer's element 0 is non-zero. *)
+val flag_loop :
+  Ppat_gpu.Memory.t -> flag:string -> max_iter:int -> (unit -> unit) -> unit
+(** A host flag loop: clear element 0 of the [flag] buffer, run the body,
+    and repeat while the body left it non-zero, at most [max_iter]
+    times. *)
 
-val clear_flag : Ppat_gpu.Memory.t -> string -> unit
+val run_ops :
+  on_notes:(string list -> unit) ->
+  Ppat_gpu.Memory.t ->
+  run:('m slaunch -> Ppat_gpu.Stats.t) ->
+  'm op list ->
+  unit
+(** The host-op walk: rebind and zero each step's temps, call [run] on
+    its launches in order and hand its notes to [on_notes], apply swaps,
+    and drive flag loops through {!flag_loop}. {!replay} walks a whole
+    plan with it; staging walks a flag loop's later iterations with
+    it. *)
 
 val replay :
   ?on_notes:(string list -> unit) ->

@@ -15,8 +15,7 @@
     bit-identical — same statistics, same buffer contents — to what a cold
     run of the same request would produce. Both caches are bounded LRUs
     whose hit / miss / eviction counters surface in the process metrics
-    registry under the cache labels ["search_memo"], ["plan_cache"] and
-    ["kernel_stage"].
+    registry under the cache labels ["search_memo"] and ["plan_cache"].
 
     The wire protocol is line-delimited JSON (schema ["ppat-serve/1"]),
     served from stdin/stdout ([ppat serve]) or a Unix domain socket

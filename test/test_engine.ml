@@ -447,6 +447,37 @@ let test_trap_replay () =
       let stats = Interp.run ~engine ~jobs:1 dev mem l in
       (stats, [ ("p", Memory.to_host mem "p") ]))
 
+(* r = tid; r = shfl_idx(r, 31 - tid); out[tid] = r on one full warp:
+   every lane reads its mirror lane's register before any lane's write
+   lands (CUDA's rule), so the warp writes 31, 30, ..., 0. A lane-ordered
+   read would see lanes 0-15 already overwritten from lane 16 on. *)
+let test_shuffle_reads_before_writes () =
+  let k =
+    kernel "mirror"
+      [
+        Kir.Set (0, Kir.Tid Kir.X);
+        Kir.Set
+          (0, Kir.Shfl_idx (Kir.Reg 0, Kir.Bin (Exp.Sub, Kir.Int 31, Kir.Tid Kir.X)));
+        Kir.Store_g ("out_i", Kir.Tid Kir.X, Kir.Reg 0);
+      ]
+  in
+  let run engine =
+    let mem = fresh_mem () in
+    let l =
+      { Kir.kernel = k; grid = (1, 1, 1); block = (32, 1, 1); kparams = [] }
+    in
+    let stats = Interp.run ~engine ~jobs:1 dev mem l in
+    match Memory.to_host mem "out_i" with
+    | Host.I a -> (stats, Array.sub a 0 32)
+    | Host.F _ -> Alcotest.fail "out_i is an int buffer"
+  in
+  let sr, outr = run Interp.Reference in
+  let sc, outc = run Interp.Compiled in
+  let want = Array.init 32 (fun t -> 31 - t) in
+  Alcotest.(check (array int)) "compiled engine" want outc;
+  Alcotest.(check (array int)) "reference engine" want outr;
+  Alcotest.(check bool) "stats bit-identical" true (Stats.equal sr sc)
+
 (* --- forms the compiled engine rejects ---
 
    One kernel per rejection reason. The rejected statement sits under a
@@ -540,4 +571,6 @@ let tests =
       test_trap_replay;
     Alcotest.test_case "rejected forms fall back per launch" `Quick
       test_rejections;
+    Alcotest.test_case "shuffle sources are read before any lane writes"
+      `Quick test_shuffle_reads_before_writes;
   ]

@@ -41,6 +41,31 @@ let test_fig9_shape () =
      Alcotest.(check bool) "threadIdx used" true (contains cuda "threadIdx.x")
    | _ -> Alcotest.fail "expected exactly one kernel")
 
+(* the shuffle lowering of sumRows under the default cost model, as
+   [ppat cuda sum_rows --shuffle] prints it: a __shfl_down_sync register
+   tree, the lane-0 broadcast, and no shared memory or barrier *)
+let test_cuda_shuffle () =
+  let app = Ppat_apps.Sum_rows_cols.sum_rows () in
+  let opts = { Lower.default_options with shuffle = true } in
+  let params = Ppat_harness.Runner.analysis_params app.prog app.params in
+  let decisions =
+    Ppat_harness.Runner.decide_all ~model:Ppat_core.Cost_model.Soft ~opts dev
+      app.prog app.params Ppat_core.Strategy.Auto
+  in
+  let n = launch_of app in
+  let m = (List.assoc n.pat.Pat.pid decisions).Ppat_core.Strategy.mapping in
+  match (Lower.lower dev ~opts ~params app.prog n m).launches with
+  | [ one ] ->
+    let cuda = Cuda.kernel ~prog:app.prog one.Kir.kernel in
+    Alcotest.(check bool) "__shfl_down_sync" true
+      (contains cuda "__shfl_down_sync(0xffffffff, ");
+    Alcotest.(check bool) "lane-0 broadcast" true
+      (contains cuda "= __shfl_sync(0xffffffff, acc_row_sum, 0);");
+    Alcotest.(check bool) "no __syncthreads" false
+      (contains cuda "__syncthreads()");
+    Alcotest.(check bool) "no __shared__" false (contains cuda "__shared__")
+  | _ -> Alcotest.fail "expected exactly one kernel"
+
 let test_kernel_validates () =
   let app = Ppat_apps.Sum_rows_cols.sum_weighted_cols ~r:64 ~c:128 () in
   let n = launch_of app in
@@ -190,6 +215,7 @@ let tests =
     Alcotest.test_case "mapping arity checked" `Quick
       test_mapping_length_mismatch;
     Alcotest.test_case "launch comment" `Quick test_cuda_launch_comment;
+    Alcotest.test_case "CUDA of a shuffle reduction" `Quick test_cuda_shuffle;
     Alcotest.test_case "searched decisions lower under every model" `Quick
       test_searched_decisions_lower;
   ]

@@ -150,6 +150,78 @@ let test_device_retarget () =
   Alcotest.(check bool) "c2050 run validates" true
     (Runner.check app.prog ~expected:cpu.cpu_data ~actual:r.data = Ok ())
 
+(* A Jacobi-style flag loop whose body swaps its two buffers: each sweep
+   writes next[j] = max of cur's 3-neighbourhood and raises the flag
+   while anything changed. A swap inside a flag loop leaves no replayable
+   plan, so staging takes the unstageable branch and re-stages every
+   iteration, as a cold run does. *)
+let test_unstageable_flag_loop () =
+  let n = 16 in
+  let b = Builder.create () in
+  let sweep =
+    let open Exp.Infix in
+    Builder.foreach b ~label:"spread" ~size:(Pat.Sparam "N") (fun j ->
+        [
+          Pat.Let
+            ( "m",
+              max_
+                (max_ (read "cur" [ max_ (i 0) (j - i 1) ]) (read "cur" [ j ]))
+                (read "cur" [ min_ (p "NM1") (j + i 1) ]) );
+          Pat.Store ("next", [ j ], v "m");
+          Pat.If
+            (v "m" <> read "cur" [ j ], [ Pat.Store ("flag", [ i 0 ], i 1) ], []);
+        ])
+  in
+  let prog =
+    {
+      Pat.pname = "spread";
+      defaults = [ ("N", n); ("NM1", n - 1) ];
+      buffers =
+        [
+          Pat.buffer "cur" Ty.I32 [ Ty.Param "N" ] Pat.Input;
+          Pat.buffer "next" Ty.I32 [ Ty.Param "N" ] Pat.Output;
+          Pat.buffer "flag" Ty.I32 [ Ty.Const 1 ] Pat.Temp;
+        ];
+      steps =
+        [
+          Pat.While_flag
+            {
+              flag = "flag";
+              max_iter = 64;
+              body =
+                [
+                  Pat.Launch { bind = None; pat = sweep };
+                  Pat.Swap ("cur", "next");
+                ];
+            };
+        ];
+    }
+  in
+  let data =
+    [ ("cur", Host.I (Array.init n (fun j -> if j = 0 then 7 else 0))) ]
+  in
+  let decisions = Runner.decide_all dev prog [] Strategy.Auto in
+  let stage engine =
+    Runner.stage ~engine ~sim_jobs:1 dev prog ~decisions data
+  in
+  let sc = stage Ppat_kernel.Interp.Compiled in
+  let sr = stage Ppat_kernel.Interp.Reference in
+  Alcotest.(check bool) "no plan" true (Option.is_none sc.st_plan);
+  Alcotest.(check (option string)) "the swap is named"
+    (Some "buffer swap inside a flag loop") sc.st_unstageable;
+  Alcotest.(check bool)
+    (Printf.sprintf "more than one iteration (%d launches)"
+       sc.st_result.kernels)
+    true (sc.st_result.kernels > 1);
+  let cpu = Runner.run_cpu prog data in
+  Alcotest.(check bool) "outputs match the CPU oracle" true
+    (Runner.check prog ~expected:cpu.cpu_data ~actual:sc.st_result.data
+     = Ok ());
+  Alcotest.(check bool) "engines' statistics bit-identical" true
+    (Ppat_gpu.Stats.equal sc.st_result.stats sr.st_result.stats);
+  Alcotest.(check bool) "engines' outputs identical" true
+    (sc.st_result.data = sr.st_result.data)
+
 let tests =
   [
     Alcotest.test_case "analysis parameters" `Quick test_analysis_params;
@@ -159,4 +231,6 @@ let tests =
     Alcotest.test_case "GEMM mapping decision" `Quick test_gemm_mapping;
     Alcotest.test_case "zipWith" `Quick test_zip_with;
     Alcotest.test_case "device retargeting" `Quick test_device_retarget;
+    Alcotest.test_case "unstageable flag loop re-stages" `Quick
+      test_unstageable_flag_loop;
   ]

@@ -454,8 +454,7 @@ let test_hit_skips_search_and_staging () =
   let line =
     request "sum_rows" [ ("R", 40); ("C", 24) ] ~engine:"compiled" ~sim_jobs:1
   in
-  (* the search, search-memo, staging and kernel-stage-cache counters one
-     request moved *)
+  (* the search, search-memo and staging counters one request moved *)
   let front_end status =
     let before = Ppat_metrics.Metrics.snapshot () in
     let j = serve_one "hit counters" server line in
@@ -464,7 +463,7 @@ let test_hit_skips_search_and_staging () =
     Ppat_metrics.Metrics.diff before (Ppat_metrics.Metrics.snapshot ())
     |> List.filter_map (fun (e : Ppat_metrics.Metrics.entry) ->
            match List.assoc_opt "cache" e.labels with
-           | Some ("search_memo" | "kernel_stage" as c) -> Some c
+           | Some ("search_memo" as c) -> Some c
            | _ ->
              if String.starts_with ~prefix:"search." e.name
                 || String.starts_with ~prefix:"staging." e.name
@@ -473,7 +472,8 @@ let test_hit_skips_search_and_staging () =
   in
   let miss = front_end "miss" in
   Alcotest.(check bool) "the miss searches and stages" true
-    (List.mem "search.candidates_evaluated" miss && List.mem "kernel_stage" miss);
+    (List.mem "search.candidates_evaluated" miss
+    && List.mem "staging.vector_stmts" miss);
   Alcotest.(check (list string)) "the hit moves none of them" [] (front_end "hit")
 
 (* ----- parameter overrides go through the app's own rules: derived
