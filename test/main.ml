@@ -32,5 +32,6 @@ let () =
       ("sweep", Test_sweep.tests);
       ("mapspace", Test_mapspace.tests);
       ("paper", Test_paper.tests);
+      ("space", Test_space.tests);
       ("golden", Test_golden.tests);
     ]
