@@ -298,60 +298,3 @@ let pp_kernel ppf k =
     k.smem;
   pp_stmts k.reg_names ppf k.body;
   Format.fprintf ppf "@]@,}"
-
-(* ----- structural fingerprints -----
-
-   The sweep evaluator groups candidate mappings whose lowered code has
-   the same *shape*: identical kernel structure once every numeric
-   constant is wiped, so two candidates that differ only in launch
-   geometry, tile sizes or degree-of-parallelism parameters land in the
-   same group. The abstraction keeps everything order- and
-   structure-relevant (operators, register slots, buffer names, shared
-   arrays and their element types, kernel-parameter names) and erases
-   exactly the values geometry search varies: integer/float literals,
-   grid/block dimensions, shared-array extents and kernel-parameter
-   values. *)
-
-let rec abstract_exp : exp -> exp = function
-  | Int _ -> Int 0
-  | Float _ -> Float 0.
-  | (Bool _ | Reg _ | Tid _ | Bid _ | Bdim _ | Gdim _ | Param _) as e -> e
-  | Bin (op, a, b) -> Bin (op, abstract_exp a, abstract_exp b)
-  | Un (op, a) -> Un (op, abstract_exp a)
-  | Cmp (op, a, b) -> Cmp (op, abstract_exp a, abstract_exp b)
-  | Select (c, a, b) -> Select (abstract_exp c, abstract_exp a, abstract_exp b)
-  | Load_g (b, i) -> Load_g (b, abstract_exp i)
-  | Load_s (s, i) -> Load_s (s, abstract_exp i)
-  | Shfl_down (v, l) -> Shfl_down (abstract_exp v, abstract_exp l)
-  | Shfl_idx (v, l) -> Shfl_idx (abstract_exp v, abstract_exp l)
-
-let rec abstract_stmt : stmt -> stmt = function
-  | Set (r, e) -> Set (r, abstract_exp e)
-  | Store_g (b, i, v) -> Store_g (b, abstract_exp i, abstract_exp v)
-  | Store_s (s, i, v) -> Store_s (s, abstract_exp i, abstract_exp v)
-  | Atomic_add_g (b, i, v) -> Atomic_add_g (b, abstract_exp i, abstract_exp v)
-  | Atomic_add_ret { reg; buf; idx; value } ->
-    Atomic_add_ret { reg; buf; idx = abstract_exp idx; value = abstract_exp value }
-  | If (c, t, e) ->
-    If (abstract_exp c, List.map abstract_stmt t, List.map abstract_stmt e)
-  | For { reg; lo; hi; step; body } ->
-    For
-      {
-        reg;
-        lo = abstract_exp lo;
-        hi = abstract_exp hi;
-        step = abstract_exp step;
-        body = List.map abstract_stmt body;
-      }
-  | While (c, body) -> While (abstract_exp c, List.map abstract_stmt body)
-  | (Sync | Malloc_event) as s -> s
-
-let shape_fingerprint (l : launch) =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( l.kernel.kname,
-            List.map abstract_stmt l.kernel.body,
-            List.map (fun (d : smem_decl) -> (d.sname, d.selem)) l.kernel.smem,
-            List.map fst l.kparams )
-          []))

@@ -112,11 +112,3 @@ val validate : kernel -> (unit, string) result
 
 val pp_kernel : Format.formatter -> kernel -> unit
 (** Debug listing (CUDA emission lives in the codegen library). *)
-
-val shape_fingerprint : launch -> string
-(** Digest of the launch's {e mapping shape}: the kernel structure with
-    every numeric literal wiped, shared-array and kernel-parameter
-    {e values} dropped (names and element types kept) and the grid/block
-    geometry ignored. Two candidate mappings whose lowered code differs
-    only in geometry, tile extents or DOP parameters collide here — the
-    shape key the sweep evaluator reports. *)

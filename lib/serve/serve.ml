@@ -171,14 +171,6 @@ let buf_json = function
   | Ppat_ir.Host.I a ->
     Jsonx.List (Array.to_list (Array.map (fun v -> Jsonx.Int v) a))
 
-let result_digest (r : Runner.gpu_result) =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (Ppat_gpu.Stats.to_assoc r.Runner.stats, r.Runner.kernels,
-           r.Runner.data)
-          []))
-
 let answer_json ~app ~buffers ~validated (r : Runner.gpu_result) =
   Jsonx.Obj
     ([
@@ -198,7 +190,7 @@ let answer_json ~app ~buffers ~validated (r : Runner.gpu_result) =
                   ])
               r.Runner.decisions) );
        ("notes", Jsonx.List (List.map (fun n -> Jsonx.Str n) r.Runner.notes));
-       ("digest", Jsonx.Str (result_digest r));
+       ("digest", Jsonx.Str (Runner.result_digest r));
      ]
     @ (if buffers then
          [
