@@ -1,6 +1,6 @@
 # Tier-1 verification plus a smoke run of the observability path itself.
 
-.PHONY: all build test smoke engines cost-models parallel bench-smoke report serve racecheck check bench clean
+.PHONY: all build test smoke engines cost-models parallel bench-smoke report serve racecheck no-marshal check bench clean
 
 all: build
 
@@ -140,7 +140,16 @@ racecheck: build
 	dune exec test/main.exe -- test race > /dev/null
 	@echo "racecheck: staged kernels race-free in both modes; shuffle differential OK"
 
-check: build test smoke engines cost-models parallel bench-smoke report serve racecheck
+# every digest and shape key is written through Ppat_ir.Enc: Marshal bytes
+# follow OCaml's type layout, so a digest over them moves with no value
+no-marshal:
+	@if grep -rn 'Marshal\.' lib bin test; then \
+	  echo "no-marshal: write digests and keys through Ppat_ir.Enc, not Marshal"; \
+	  exit 1; \
+	fi
+	@echo "no-marshal: lib/, bin/ and test/ never call Marshal"
+
+check: build test smoke engines cost-models parallel bench-smoke report serve racecheck no-marshal
 
 # the repository benchmark (perfbench/README.md): the classic suite
 # workload, end-to-end and per-layer metrics on this host

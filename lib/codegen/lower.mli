@@ -92,8 +92,9 @@ val lower :
     adjusts geometry to the actual sizes. *)
 
 val shape_key : lowered -> string
-(** Digest of the lowering's {e mapping shape}: per-launch
-    {!Ppat_kernel.Kir.shape_fingerprint}s plus temp names and element
-    types (sizes dropped). Candidates sharing this key differ only in
-    geometry / block / DOP parameters; the sweep reports it per
-    candidate. *)
+(** Digest of the lowering's {e mapping shape}, written through
+    {!Ppat_ir.Enc} by one walk: every kernel's structure, names and
+    shared-array element types, kernel-parameter names and temps, with
+    literals, geometry, extents and parameter values wiped. Candidates
+    sharing it differ only in geometry / block / DOP parameters; the sweep
+    reports it per candidate, and it compares across builds. *)

@@ -5,7 +5,7 @@
     the parts that need no simulator:
 
     - {!group_by}: partition a population by mapping shape
-      ({!Ppat_codegen.Lower.shape_key} digests), which the sweep reports.
+      ({!Ppat_codegen.Lower.shape_key}: build-stable), which the sweep reports.
     - {!stride} / {!sample}: which candidates the report simulates —
       every cost model's top-k plus an evenly strided sample.
     - {!regret}: how much slower a model's pick is than the best

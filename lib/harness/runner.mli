@@ -184,12 +184,12 @@ val replay :
     ({!Ppat_codegen.Lower.shape_key}) — for reporting only. *)
 
 val result_digest : gpu_result -> string
-(** Hex digest of a result's deterministic content: model seconds, kernel
-    count, aggregate and per-launch statistics, output buffers, and each
-    record's label/geometry/mapping/breakdown. Simulator wall clock and
-    provenance fields ([via], [predicted]) are excluded, so two
-    evaluations of the same candidate digest equal regardless of engine
-    path or [sim_jobs]. *)
+(** MD5 hex, through {!Ppat_ir.Enc}, of a result's model seconds, kernel
+    count, named statistics, output bits and each record's index, label,
+    kernel, geometry, mapping, statistics and timing breakdown: it moves
+    only when one of these values moves, and compares across builds.
+    Wall clock, [via], [predicted] and [site_attr] are left out, so every
+    engine path and [sim_jobs] digests equal. Served answers carry it. *)
 
 type sweep_candidate = {
   sc_mapping : Ppat_core.Mapping.t;
@@ -243,7 +243,7 @@ type target_space = {
   ts_collect : Ppat_core.Collect.t;  (** the target's collected constraints *)
   ts_candidates : Ppat_core.Mapping.t array;
       (** the target's hard-feasible mappings under the soft model, in
-          enumeration order, duplicates dropped *)
+          enumeration order, structurally equal duplicates dropped *)
   ts_duplicates : int;  (** enumerated mappings dropped as duplicates *)
 }
 

@@ -36,8 +36,8 @@
     overrides go through {!Ppat_apps.App.with_params}, so a derived size
     follows its primary and a broken app invariant is an error naming the
     parameter. The response carries the deterministic payload under ["answer"] (aggregate statistics, mapping
-    decisions, an MD5 digest over statistics plus all final buffer
-    contents, and the buffers themselves when ["buffers"] is true),
+    decisions, the one result digest {!Ppat_harness.Runner.result_digest},
+    and the buffers themselves when ["buffers"] is true),
     cache verdicts under ["cache"], and wall-clock phase timings under
     ["timing_ms"]. ["profile": true] additionally returns the
     per-kernel ppat-profile/4 record and the request's exact metrics

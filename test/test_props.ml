@@ -236,6 +236,215 @@ let prop_grid_covers_domain =
       let g = M.grid_extent ~sizes:[| size |] m M.X in
       g * bsize * n >= size && (g - 1) * bsize * n < size)
 
+(* --- the result digest and the shape key (Ppat_ir.Enc) --- *)
+
+module Runner = Ppat_harness.Runner
+module Stats = Ppat_gpu.Stats
+module Kir = Ppat_kernel.Kir
+module Lower = Ppat_codegen.Lower
+
+(* a small real run: one profile record per launch, float outputs *)
+let digest_base =
+  lazy
+    (let app = Ppat_apps.Sum_rows_cols.sum_rows ~r:16 ~c:8 () in
+     Runner.run_gpu ~model:Ppat_core.Cost_model.Soft
+       ~opts:Lower.default_options ~params:app.params dev app.prog
+       Ppat_core.Strategy.Auto
+       (Ppat_apps.App.input_data app))
+
+(* one writer per counter; the length check below makes a new counter in
+   Stats.to_assoc fail here until it gets one *)
+let stat_bumps : (Stats.t -> unit) list =
+  Stats.
+    [
+      (fun s -> s.warp_insts <- s.warp_insts +. 1.);
+      (fun s -> s.mem_insts <- s.mem_insts +. 1.);
+      (fun s -> s.transactions <- s.transactions +. 1.);
+      (fun s -> s.bytes <- s.bytes +. 1.);
+      (fun s -> s.l2_bytes <- s.l2_bytes +. 1.);
+      (fun s -> s.smem_insts <- s.smem_insts +. 1.);
+      (fun s -> s.smem_conflict_extra <- s.smem_conflict_extra +. 1.);
+      (fun s -> s.syncs <- s.syncs +. 1.);
+      (fun s -> s.shuffles <- s.shuffles +. 1.);
+      (fun s -> s.divergent_branches <- s.divergent_branches +. 1.);
+      (fun s -> s.atomics <- s.atomics +. 1.);
+      (fun s -> s.atomic_serial_extra <- s.atomic_serial_extra +. 1.);
+      (fun s -> s.mallocs <- s.mallocs +. 1.);
+    ]
+
+let breakdown_bumps :
+    (Ppat_gpu.Timing.breakdown -> Ppat_gpu.Timing.breakdown) list =
+  [
+    (fun t -> { t with seconds = t.seconds *. 2. });
+    (fun t -> { t with compute_cycles = t.compute_cycles +. 1. });
+    (fun t -> { t with bandwidth_cycles = t.bandwidth_cycles +. 1. });
+    (fun t -> { t with latency_cycles = t.latency_cycles +. 1. });
+    (fun t -> { t with overhead_cycles = t.overhead_cycles +. 1. });
+    (fun t -> { t with resident_warps = t.resident_warps + 1 });
+    (fun t -> { t with active_sms = t.active_sms + 1 });
+    (fun t ->
+      { t with bound = (if t.bound = `Latency then `Compute else `Latency) });
+  ]
+
+(* edits the [k]-th profile record, modulo the record count *)
+let with_record (r : Runner.gpu_result) k f =
+  let k = k mod List.length r.profile in
+  {
+    r with
+    profile =
+      List.mapi (fun i (rk : Ppat_profile.Record.kernel) ->
+          if i = k then f rk else rk) r.profile;
+  }
+
+let prop_digest_stats =
+  Q.Test.make ~name:"result digest moves with any one counter" ~count:60
+    Q.Gen.(pair (int_range 0 (List.length stat_bumps - 1)) (option nat))
+    (fun (field, k) ->
+      let r = Lazy.force digest_base in
+      let bump s = let s = Stats.copy s in (List.nth stat_bumps field) s; s in
+      (* [None] edits the aggregate, [Some k] a profile record's *)
+      let r' =
+        match k with
+        | None -> { r with stats = bump r.stats }
+        | Some k ->
+          with_record r k (fun rk -> { rk with stats = bump rk.stats })
+      in
+      List.length stat_bumps = List.length (Stats.to_assoc r.stats)
+      && Runner.result_digest r <> Runner.result_digest r')
+
+let prop_digest_breakdown =
+  Q.Test.make ~name:"result digest moves with any one breakdown field" ~count:40
+    Q.Gen.(pair (int_range 0 (List.length breakdown_bumps - 1)) nat)
+    (fun (field, k) ->
+      let r = Lazy.force digest_base in
+      let r' =
+        with_record r k (fun rk ->
+            let bump = List.nth breakdown_bumps field in
+            { rk with breakdown = bump rk.breakdown })
+      in
+      Runner.result_digest r <> Runner.result_digest r')
+
+let prop_digest_mapping =
+  Q.Test.make ~name:"result digest moves with one mapping decision" ~count:40
+    Q.Gen.(pair nat (int_range 0 2))
+    (fun (k, what) ->
+      let r = Lazy.force digest_base in
+      let edit (d : M.decision) =
+        match what with
+        | 0 -> { d with bsize = d.bsize * 2 }
+        | 1 ->
+          { d with span = (if d.span = M.Span_all then M.span1 else M.Span_all) }
+        | _ -> { d with dim = (if d.dim = M.X then M.Y else M.X) }
+      in
+      let r' =
+        with_record r k (fun rk ->
+            let m = Array.copy rk.mapping in
+            m.(0) <- edit m.(0);
+            { rk with mapping = m })
+      in
+      Runner.result_digest r <> Runner.result_digest r')
+
+let prop_digest_output_bits =
+  Q.Test.make ~name:"result digest moves with one output element's bits"
+    ~count:100
+    Q.Gen.(pair nat nat)
+    (fun (b, i) ->
+      let r = Lazy.force digest_base in
+      let b = b mod List.length r.data in
+      let data =
+        List.mapi
+          (fun j (name, buf) ->
+            if j <> b then (name, buf)
+            else
+              match buf with
+              | Host.F a ->
+                let a = Array.copy a and i = i mod Array.length a in
+                (* 0.0 and -0.0 compare equal but differ in bits *)
+                a.(i) <-
+                  (if a.(i) = 0. then -.a.(i)
+                   else
+                     Int64.float_of_bits
+                       (Int64.logxor (Int64.bits_of_float a.(i)) 1L));
+                (name, Host.F a)
+              | Host.I a ->
+                let a = Array.copy a and i = i mod Array.length a in
+                a.(i) <- a.(i) + 1;
+                (name, Host.I a))
+          r.data
+      in
+      Runner.result_digest r <> Runner.result_digest { r with data })
+
+let test_digest_signed_zero () =
+  let r = Lazy.force digest_base in
+  let zero x = { r with data = [ ("z", Host.F [| x |]) ] } in
+  Alcotest.(check bool) "0.0 and -0.0 digest apart" true
+    (Runner.result_digest (zero 0.) <> Runner.result_digest (zero (-0.)))
+
+(* random index-shaped expressions over literals, registers, thread ids,
+   operators and global loads *)
+let gen_kexp =
+  Q.Gen.(
+    sized_size (int_range 0 4)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 map (fun i -> Kir.Int i) (int_range (-100) 100);
+                 map (fun x -> Kir.Float x) (float_range (-1.) 1.);
+                 map (fun r -> Kir.Reg r) (int_range 0 3);
+                 pure (Kir.Tid Kir.X);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             oneof
+               [
+                 leaf;
+                 map3 (fun op a b -> Kir.Bin (op, a, b))
+                   (oneofl Exp.[ Add; Sub; Mul; Min; Max ])
+                   (self (n - 1)) (self (n - 1));
+                 map (fun i -> Kir.Load_g ("in", i)) (self (n - 1));
+               ]))
+
+let rec relit : Kir.exp -> Kir.exp = function
+  | Kir.Int i -> Kir.Int (i + 7)
+  | Kir.Float x -> Kir.Float (x +. 0.5)
+  | Kir.Bin (op, a, b) -> Kir.Bin (op, relit a, relit b)
+  | Kir.Load_g (n, i) -> Kir.Load_g (n, relit i)
+  | e -> e
+
+let key_of ?(out = "out") ?(block = 32) e =
+  let kernel =
+    {
+      Kir.kname = "k";
+      nregs = 4;
+      reg_names = [| "a"; "b"; "c"; "d" |];
+      reg_types = Array.make 4 Ty.I32;
+      smem = [];
+      body = [ Kir.Store_g (out, Kir.Tid Kir.X, e) ];
+    }
+  in
+  Lower.shape_key
+    {
+      Lower.launches =
+        [
+          { Kir.kernel; grid = (4, 1, 1); block = (block, 1, 1); kparams = [] };
+        ];
+      temps = [];
+      notes = [];
+    }
+
+let prop_shape_key =
+  Q.Test.make ~name:"shape key wipes literals, keeps operators, names, shuffles"
+    ~count:200 gen_kexp
+    (fun e ->
+      let b = Kir.Int 1 in
+      key_of e = key_of ~block:64 (relit e)
+      && key_of (Kir.Bin (Exp.Add, e, b)) <> key_of (Kir.Bin (Exp.Sub, e, b))
+      && key_of e <> key_of ~out:"out2" e
+      && key_of (Kir.Load_g ("in", e)) <> key_of (Kir.Load_g ("in2", e))
+      && key_of (Kir.Shfl_down (e, b)) <> key_of (Kir.Shfl_idx (e, b)))
+
 let tests =
   List.map to_alcotest
     [
@@ -252,4 +461,13 @@ let tests =
       prop_alloc_modes_equivalent;
       prop_stride_linear;
       prop_grid_covers_domain;
+      prop_digest_stats;
+      prop_digest_breakdown;
+      prop_digest_mapping;
+      prop_digest_output_bits;
+      prop_shape_key;
+    ]
+  @ [
+      Alcotest.test_case "result digest: 0.0 vs -0.0" `Quick
+        test_digest_signed_zero;
     ]
